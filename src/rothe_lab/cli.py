@@ -267,7 +267,8 @@ def cmd_verify(args) -> int:
         values[name] = _parse_values(raw, name, fractional=name in defn.fractional)
     cfg = SweepConfig(args.identity, values, args.format, args.fail_fast, _resolve_cap(args))
 
-    # estimate all work up front; refuse the whole sweep on a cap breach
+    # estimate the work up front, stopping at the first tuple that breaches a
+    # cap; refuse the whole sweep on a breach
     total_work = 0
     for v in _expand_tuples(defn, values):
         if defn.skip is not None and defn.skip(v):
@@ -280,11 +281,11 @@ def cmd_verify(args) -> int:
                     f"length cap {words.MAX_WORD_LENGTH}"
                 )
         total_work += defn.estimate(v)
-    if total_work > cfg.cap:
-        raise UsageError(
-            f"estimated work {total_work} exceeds the cap {cfg.cap}; narrow the "
-            f"ranges or raise --cap / ${CAP_ENV_VAR}"
-        )
+        if total_work > cfg.cap:
+            raise UsageError(
+                f"estimated work of at least {total_work} exceeds the cap {cfg.cap}; "
+                f"narrow the ranges or raise --cap / ${CAP_ENV_VAR}"
+            )
 
     checked = failed = skipped = 0
     for v in _expand_tuples(defn, values):

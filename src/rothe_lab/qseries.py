@@ -1,15 +1,18 @@
 """Exact Laurent polynomials in ``q`` and the q-binomial identity checks.
 
-Polynomials are stored sparsely as ``exponent -> integer coefficient`` with
-arbitrary-precision coefficients and possibly negative exponents; ``q`` stays
-symbolic throughout (the only numeric specialization offered is ``q = 1``).
+Polynomials are stored densely as a lowest exponent and the run of integer
+coefficients from there up, with arbitrary-precision coefficients and
+possibly negative exponents; ``q`` stays symbolic throughout (the only
+numeric specialization offered is ``q = 1``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from typing import Iterable, Mapping
+from itertools import accumulate
+from operator import add, sub
 
 from .errors import ParameterError, UnsupportedArgumentError
 from .identities import VerificationReport
@@ -19,11 +22,14 @@ from .words import MAX_WORD_LENGTH, Grading, enumerate_gamma, inversions
 class LaurentPolynomial:
     """Immutable integer-coefficient polynomial in ``q`` with integer exponents.
 
-    Zero coefficients are never stored, so equality is term-by-term on the
-    canonical form. Arithmetic accepts plain ints as constants.
+    Stored as ``(offset, coefficients)``: the coefficient of ``q ** (offset
+    + i)`` is ``coefficients[i]``, and neither end of the tuple is zero, so
+    zero is ``(0, ())`` and equality is term-by-term on the canonical form.
+    Memory grows with the exponent span, not the number of terms.
+    Arithmetic accepts plain ints as constants.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_offset", "_coeffs")
 
     def __init__(
         self,
@@ -35,7 +41,32 @@ class LaurentPolynomial:
             for exponent, coeff in items:
                 if coeff:
                     data[exponent] = data.get(exponent, 0) + coeff
-        object.__setattr__(self, "_terms", {e: c for e, c in data.items() if c})
+        offset, coeffs = 0, ()
+        nonzero = [e for e, c in data.items() if c]
+        if nonzero:
+            offset = min(nonzero)
+            dense = [0] * (max(nonzero) - offset + 1)
+            for e in nonzero:
+                dense[e - offset] = data[e]
+            coeffs = tuple(dense)
+        object.__setattr__(self, "_offset", offset)
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    @classmethod
+    def _dense(cls, offset: int, coeffs) -> "LaurentPolynomial":
+        """The polynomial ``sum_i coeffs[i] q^(offset + i)``, with zeros
+        trimmed from both ends of ``coeffs``."""
+        if not (coeffs and coeffs[0] and coeffs[-1]):
+            lo, hi = 0, len(coeffs)
+            while lo < hi and not coeffs[lo]:
+                lo += 1
+            while hi > lo and not coeffs[hi - 1]:
+                hi -= 1
+            offset, coeffs = (offset + lo if lo < hi else 0), coeffs[lo:hi]
+        out = object.__new__(cls)
+        object.__setattr__(out, "_offset", offset)
+        object.__setattr__(out, "_coeffs", tuple(coeffs))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -57,58 +88,69 @@ class LaurentPolynomial:
         if isinstance(value, LaurentPolynomial):
             return value
         if isinstance(value, int):
-            return cls({0: value})
+            return cls._dense(0, (value,))
         return None
 
     def terms(self) -> dict[int, int]:
-        return dict(self._terms)
+        return dict(self.sorted_terms())
 
     def sorted_terms(self) -> list[tuple[int, int]]:
-        return sorted(self._terms.items())
+        return [(e, c) for e, c in enumerate(self._coeffs, self._offset) if c]
 
     def coefficient(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        i = exponent - self._offset
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def min_exponent(self) -> int | None:
-        return min(self._terms) if self._terms else None
+        return self._offset if self._coeffs else None
 
     def max_exponent(self) -> int | None:
-        return max(self._terms) if self._terms else None
+        return self._offset + len(self._coeffs) - 1 if self._coeffs else None
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def value_at_one(self) -> int:
         """The integer obtained by setting ``q = 1``."""
-        return sum(self._terms.values())
+        return sum(self._coeffs)
 
     def shift(self, exponent: int) -> "LaurentPolynomial":
         """Multiply by ``q ** exponent``."""
-        return LaurentPolynomial({e + exponent: c for e, c in self._terms.items()})
+        if not self._coeffs or not exponent:
+            return self
+        return LaurentPolynomial._dense(self._offset + exponent, self._coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._offset == other._offset and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         return hash(tuple(self.sorted_terms()))
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()})
+        return LaurentPolynomial._dense(self._offset, [-c for c in self._coeffs])
 
     def __add__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other
+        low, high = (self, other) if self._offset <= other._offset else (other, self)
+        start = high._offset - low._offset
+        stop = start + len(high._coeffs)
+        out = list(low._coeffs)
+        if stop > len(out):
+            out += [0] * (stop - len(out))
+        out[start:stop] = map(add, out[start:stop], high._coeffs)
+        return LaurentPolynomial._dense(low._offset, out)
 
     __radd__ = __add__
 
@@ -128,17 +170,26 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(out)
+        short, long = self._coeffs, other._coeffs
+        if not short or not long:
+            return LaurentPolynomial.zero()
+        if len(short) > len(long):
+            short, long = long, short
+        offset = self._offset + other._offset
+        if len(short) == 1:
+            c = short[0]
+            return LaurentPolynomial._dense(offset, long if c == 1 else [c * d for d in long])
+        width = len(long)
+        out = [0] * (len(short) + width - 1)
+        for i, c in enumerate(short):
+            if c:
+                out[i : i + width] = [o + c * d for o, d in zip(out[i : i + width], long)]
+        return LaurentPolynomial._dense(offset, out)
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         pieces: list[tuple[str, str]] = []
         for exponent, coeff in self.sorted_terms():
@@ -189,10 +240,11 @@ def _as_poly(value) -> LaurentPolynomial:
 def gaussian_binomial(a: int, k: int) -> LaurentPolynomial:
     """Gaussian binomial coefficient as a polynomial in ``q``.
 
-    Zero for ``k < 0`` or ``k > a``, one for ``k == 0``, otherwise built by
-    the Pascal recurrence ``[a, k] = [a-1, k-1] + q^k * [a-1, k]``. At
-    ``q = 1`` it evaluates to ``C(a, k)``. Negative upper arguments are not
-    supported.
+    Zero for ``k < 0`` or ``k > a``, one for ``k == 0``, otherwise the
+    product formula ``[a, k] = prod_{i=1}^{k} (1 - q^(a-k+i)) / (1 - q^i)``
+    (Andrews, *The Theory of Partitions*, ch. 3) evaluated on one dense list
+    of coefficients, without recursion. At ``q = 1`` it evaluates to
+    ``C(a, k)``. Negative upper arguments are not supported.
     """
     if k < 0:
         return LaurentPolynomial.zero()
@@ -202,9 +254,23 @@ def gaussian_binomial(a: int, k: int) -> LaurentPolynomial:
         )
     if k > a:
         return LaurentPolynomial.zero()
-    if k == 0:
-        return LaurentPolynomial.one()
-    return gaussian_binomial(a - 1, k - 1) + gaussian_binomial(a - 1, k).shift(k)
+    k = min(k, a - k)
+    rest = a - k
+    # after step i the list holds [rest + i, i], of degree i * rest; the step
+    # first raises the degree by rest + i, then the division lowers it by i
+    coeffs = [1] + [0] * (k * rest + k)
+    degree = 0
+    for i in range(1, k + 1):
+        s = rest + i
+        top = degree + s
+        # times (1 - q^s): the slices are copies, so this reads old values
+        coeffs[s : top + 1] = map(sub, coeffs[s : top + 1], coeffs[: degree + 1])
+        # divided by (1 - q^i): a prefix sum along each residue class mod i,
+        # run up to the old top so that the exact quotient's tail comes out 0
+        for r in range(i):
+            coeffs[r : top + 1 : i] = accumulate(coeffs[r : top + 1 : i])
+        degree = top - i
+    return LaurentPolynomial._dense(0, coeffs[: degree + 1])
 
 
 def inv_generating_function(
@@ -239,6 +305,14 @@ def qchu_term(x: int, y: int, m: int, n: int, k: int) -> LaurentPolynomial:
     return total.shift(k * (k * m + k + y - n))
 
 
+def _qchu_sum(x: int, y: int, m: int, n: int) -> LaurentPolynomial:
+    """The structured double sum ``sum_k qchu_term(x, y, m, n, k)``."""
+    total = LaurentPolynomial.zero()
+    for k in range(n + 1):
+        total = total + qchu_term(x, y, m, n, k)
+    return total
+
+
 def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
     """Double-sum extension of the q-Chu-Vandermonde formula:
 
@@ -256,9 +330,7 @@ def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
         raise ParameterError(f"need x >= m*n, got x={x}, m={m}, n={n}")
     if y < 1:
         raise ParameterError(f"need y >= 1, got y={y}")
-    lhs = LaurentPolynomial.zero()
-    for k in range(n + 1):
-        lhs = lhs + qchu_term(x, y, m, n, k)
+    lhs = _qchu_sum(x, y, m, n)
     rhs = gaussian_binomial(x + y, n)
     return VerificationReport.from_sides(
         "qchu", {"x": x, "y": y, "m": m, "n": n}, lhs, rhs
@@ -309,9 +381,7 @@ def qweighted_bijection_check(
         p + q + m * n, n, Grading(m), max_length=max_length
     )
     bracket = gaussian_binomial(p + q, n)
-    structured = LaurentPolynomial.zero()
-    for k in range(n + 1):
-        structured = structured + qchu_term(p, q, m, n, k)
+    structured = _qchu_sum(p, q, m, n)
     params = {"p": p, "q": q, "m": m, "n": n}
     if enumerated == bracket == structured:
         return VerificationReport("qword", params, enumerated, bracket, "pass")

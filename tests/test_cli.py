@@ -455,3 +455,31 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "pqkm p=2 q=2 m=1 n=2: PASS 4" in proc.stdout
+
+
+def test_verify_qchu_tall_x_exits_0_without_traceback():
+    # x = 1100 once raised a RecursionError inside gaussian_binomial (exit 1)
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rothe_lab.cli", "verify", "--identity", "qchu",
+         "--x", "1100", "--y", "1", "--m", "0", "--n", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "1 checked, 0 failed"
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_huge_sweep_refused_without_full_walk(capsys):
+    # 10^8 tuples: the estimate stops once its running total passes the cap,
+    # so the refusal does not walk every tuple first
+    code, out, err = run(
+        capsys, "verify", "--identity", "qchu",
+        "--x", "0..9999", "--y", "1..10000", "--m", "0", "--n", "100",
+    )
+    assert code == 2
+    assert out == ""
+    assert "cap" in err

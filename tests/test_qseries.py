@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rothe_lab import (
     Grading,
@@ -86,6 +87,61 @@ def test_gaussian_binomial_examples():
     assert gaussian_binomial(0, 0) == 1
     with pytest.raises(UnsupportedArgumentError):
         gaussian_binomial(-1, 2)
+
+
+def pascal_gaussian_table(size: int) -> list[list[list[int]]]:
+    """``table[a][k]`` holds the coefficients of ``[a, k]`` from ``q^0`` up,
+    built row by row from the Pascal recurrence
+    ``[a, k] = [a-1, k-1] + q^k [a-1, k]``: no recursion, no cache."""
+    table = [[[1]]]
+    for a in range(1, size + 1):
+        above = table[-1]
+        row = [[1]]
+        for k in range(1, a + 1):
+            coeffs = [0] * (k * (a - k) + 1)
+            for e, c in enumerate(above[k - 1]):
+                coeffs[e] += c
+            if k < a:
+                for e, c in enumerate(above[k]):
+                    coeffs[e + k] += c
+            row.append(coeffs)
+        table.append(row)
+    return table
+
+
+def test_gaussian_binomial_matches_pascal_oracle():
+    table = pascal_gaussian_table(30)
+    for a, row in enumerate(table):
+        for k, coeffs in enumerate(row):
+            expected = [(e, c) for e, c in enumerate(coeffs) if c]
+            assert gaussian_binomial(a, k).sorted_terms() == expected, (a, k)
+
+
+def test_gaussian_binomial_edges():
+    for a in range(6):
+        assert gaussian_binomial(a, -1).is_zero()
+        assert gaussian_binomial(a, -3).is_zero()
+        assert gaussian_binomial(a, a + 1).is_zero()
+        assert gaussian_binomial(a, a + 4).is_zero()
+    assert gaussian_binomial(-2, -1).is_zero()
+    for k in range(3):
+        with pytest.raises(UnsupportedArgumentError):
+            gaussian_binomial(-1, k)
+
+
+def test_gaussian_binomial_large_a_at_q1():
+    gaussian_binomial.cache_clear()
+    p = gaussian_binomial(2000, 3)
+    assert p.value_at_one() == math.comb(2000, 3)
+    assert p.max_exponent() == 3 * 1997
+
+
+def test_check_qchu_tall_x_regression():
+    # once a RecursionError: the bracket [1101, 2] was built about 1100
+    # calls deep; runs at the interpreter's default recursion limit
+    gaussian_binomial.cache_clear()
+    rep = check_qchu(1100, 1, 0, 2)
+    assert rep.passed and rep.lhs == gaussian_binomial(1101, 2)
 
 
 def test_gaussian_binomial_at_q1_matches_comb():
@@ -214,3 +270,75 @@ def test_concatenation_exponent_rule():
                                     inversions(u + v)
                                 )
                         assert paired == concatenated
+
+
+# LaurentPolynomial arithmetic against a plain dict reference
+
+exponents_st = st.integers(min_value=-12, max_value=12)
+coeffs_st = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
+term_dicts_st = st.dictionaries(exponents_st, coeffs_st, max_size=8)
+
+
+def ref_clean(d: dict) -> dict:
+    return {e: c for e, c in d.items() if c}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def assert_matches(poly: LaurentPolynomial, ref: dict) -> None:
+    assert poly.terms() == ref
+    assert poly.sorted_terms() == sorted(ref.items())
+    assert poly.is_zero() == (not ref)
+    assert poly.min_exponent() == (min(ref) if ref else None)
+    assert poly.max_exponent() == (max(ref) if ref else None)
+    assert poly.value_at_one() == sum(ref.values())
+    assert poly == LaurentPolynomial(ref)
+    assert hash(poly) == hash(LaurentPolynomial(ref))
+
+
+@given(term_dicts_st, term_dicts_st, st.integers(min_value=-30, max_value=30))
+def test_lp_ops_match_dict_reference(a, b, s):
+    pa, pb = LaurentPolynomial(a), LaurentPolynomial(b)
+    a, b = ref_clean(a), ref_clean(b)
+    assert_matches(pa, a)
+    assert_matches(pa + pb, ref_add(a, b))
+    assert_matches(pa - pb, ref_add(a, {e: -c for e, c in b.items()}))
+    assert_matches(pa * pb, ref_mul(a, b))
+    assert_matches(pa.shift(s), {e + s: c for e, c in a.items()})
+    assert (pa == pb) == (a == b)
+    assert (pa.shift(s) == pa) == (s == 0 or not a)
+    assert_matches(pa + 7, ref_add(a, {0: 7}))
+    assert_matches(3 * pa, {e: 3 * c for e, c in a.items()})
+
+
+@given(term_dicts_st, st.sets(exponents_st), term_dicts_st)
+def test_lp_cancellation_trims_to_canonical_form(a, cancel, b):
+    # cancel any subset of a's terms, the end terms included; the result
+    # must equal the polynomial built from the surviving terms directly
+    pa = LaurentPolynomial(a)
+    minus = LaurentPolynomial({e: -c for e, c in a.items() if e in cancel})
+    survivors = {e: c for e, c in ref_clean(a).items() if e not in cancel}
+    assert_matches(pa + minus, survivors)
+    assert_matches(pa - pa, {})
+    assert_matches(pa + (-pa), {})
+    assert pa - pa == LaurentPolynomial.zero() == 0
+    pb = LaurentPolynomial(b)
+    assert_matches((pa + pb) - pb, ref_clean(a))
+    assert_matches(pa * 0, {})
+    assert_matches(pa * (pb - pb), {})
