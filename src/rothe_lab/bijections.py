@@ -10,18 +10,10 @@ least ``p``, sorting it into one of two branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InvariantViolationError, NoMatchError, NotInDomainError
-from .words import (
-    Grading,
-    Word,
-    b_count,
-    has_prefix_of_weight,
-    prefix_length_of_weight,
-    prefix_weights,
-    reverse,
-    weight,
-)
+from .words import Grading, Word, b_count, prefix_weights
 
 
 @dataclass(frozen=True)
@@ -57,16 +49,13 @@ class BranchB:
 Decomposition = BranchA | BranchB
 
 
-def equal_weight_prefixes(u: Word, v: Word, g: Grading) -> PrefixMatch:
-    """Find nonempty prefixes of ``u`` and ``v`` of equal, minimal weight.
+def _prefix_weights(w: Word, m: int) -> list[int]:
+    """:func:`~rothe_lab.words.prefix_weights` of an already checked word."""
+    return list(accumulate(m + 1 if letter == "b" else 1 for letter in w))
 
-    Two-pointer merge over the strictly increasing prefix-weight sequences,
-    O(|u| + |v|). A match is guaranteed whenever both words have weight at
-    least ``m * n + 1`` with ``n = b_count(u + v)``; :class:`NoMatchError` is
-    raised otherwise and signals a caller bug inside the bijections.
-    """
-    wu = prefix_weights(u, g)
-    wv = prefix_weights(v, g)
+
+def _match(wu: list[int], wv: list[int]) -> PrefixMatch | None:
+    """Two-pointer merge over two strictly increasing prefix-weight lists."""
     i = j = 0
     while i < len(wu) and j < len(wv):
         if wu[i] == wv[j]:
@@ -75,30 +64,64 @@ def equal_weight_prefixes(u: Word, v: Word, g: Grading) -> PrefixMatch:
             i += 1
         else:
             j += 1
-    raise NoMatchError(
-        f"words {u!r} and {v!r} have no nonempty prefixes of equal weight (m={g.m})"
-    )
+    return None
 
 
-def _split_at_weight(w: Word, r: int, g: Grading) -> tuple[Word, Word]:
-    cut = prefix_length_of_weight(w, r, g)
+def equal_weight_prefixes(u: Word, v: Word, g: Grading) -> PrefixMatch:
+    """Find nonempty prefixes of ``u`` and ``v`` of equal, minimal weight.
+
+    Two-pointer merge over the strictly increasing prefix-weight sequences,
+    O(|u| + |v|). A match is guaranteed whenever both words have weight at
+    least ``m * n + 1`` with ``n = b_count(u + v)``; :class:`NoMatchError` is
+    raised otherwise and signals a caller bug inside the bijections.
+    """
+    match = _match(prefix_weights(u, g), prefix_weights(v, g))
+    if match is None:
+        raise NoMatchError(
+            f"words {u!r} and {v!r} have no nonempty prefixes of equal weight (m={g.m})"
+        )
+    return match
+
+
+def _prefix_length(w: Word, r: int, m: int) -> int | None:
+    """Length of the prefix of weight exactly ``r`` of an already checked
+    word, or ``None``."""
+    acc = cut = 0
+    while acc < r and cut < len(w):
+        acc += m + 1 if w[cut] == "b" else 1
+        cut += 1
+    return cut if acc == r else None
+
+
+def _split_at_weight(w: Word, r: int, m: int) -> tuple[Word, Word]:
+    cut = _prefix_length(w, r, m)
     if cut is None:
-        raise NotInDomainError(f"word {w!r} has no prefix of weight {r} (m={g.m})")
+        raise NotInDomainError(f"word {w!r} has no prefix of weight {r} (m={m})")
     return w[:cut], w[cut:]
 
 
-def _check_shift_params(w: Word, p: int, q: int, g: Grading) -> int:
+def _check_shift_params(w: Word, p: int, q: int, g: Grading) -> None:
+    """The domain checks shared by both bijections; the only place where
+    their input word is validated."""
     n = b_count(w)
     if p < g.m * n:
         raise NotInDomainError(f"need p >= m*n, got p={p}, m={g.m}, n={n}")
     if q < 1:
         raise NotInDomainError(f"need q >= 1, got q={q}")
     total = p + q + g.m * n
-    if weight(w, g) != total:
+    if len(w) + g.m * n != total:
         raise NotInDomainError(
-            f"word {w!r} has weight {weight(w, g)}, expected {total}"
+            f"word {w!r} has weight {len(w) + g.m * n}, expected {total}"
         )
-    return n
+
+
+def _shift_match(u: Word, v: Word, m: int) -> PrefixMatch:
+    """:func:`equal_weight_prefixes` of two already checked words, inside a
+    bijection whose domain checks guarantee that a match exists."""
+    match = _match(_prefix_weights(u, m), _prefix_weights(v, m))
+    if match is None:
+        raise AssertionError("equal-weight prefixes must exist once the domain checks pass")
+    return match
 
 
 def theorem1_forward(w: Word, p: int, q: int, g: Grading) -> Word:
@@ -111,20 +134,15 @@ def theorem1_forward(w: Word, p: int, q: int, g: Grading) -> Word:
     weight and b-count are preserved.
     """
     _check_shift_params(w, p, q, g)
-    u, v = _split_at_weight(w, p, g)
+    u, v = _split_at_weight(w, p, g.m)
     # prefixes of rev(u + 'a') are a leading 'a' plus suffixes of u, so a
     # weight-t prefix encodes a suffix of weight t - 1, the empty one included
-    try:
-        match = equal_weight_prefixes(v, reverse(u + "a"), g)
-    except NoMatchError as exc:
-        raise AssertionError(
-            "equal-weight prefixes must exist once the domain checks pass"
-        ) from exc
+    match = _shift_match(v, "a" + u[::-1], g.m)
     y_len = match.u_prefix_len
     x_len = match.v_prefix_len - 1
     y, v_rest = v[:y_len], v[y_len:]
     u_rest, x = u[: len(u) - x_len], u[len(u) - x_len :]
-    return u_rest + reverse(y) + reverse(x) + v_rest
+    return u_rest + y[::-1] + x[::-1] + v_rest
 
 
 def theorem1_inverse(w: Word, p: int, q: int, g: Grading) -> Word:
@@ -136,19 +154,14 @@ def theorem1_inverse(w: Word, p: int, q: int, g: Grading) -> Word:
     return ``U' . rev(t) . rev(s) . V'``.
     """
     _check_shift_params(w, p, q, g)
-    big_u, big_v = _split_at_weight(w, p + 1, g)
+    big_u, big_v = _split_at_weight(w, p + 1, g.m)
     # symmetric trick: prefixes of 'a' + V encode prefixes of V shifted up by 1
-    try:
-        match = equal_weight_prefixes(reverse(big_u), "a" + big_v, g)
-    except NoMatchError as exc:
-        raise AssertionError(
-            "equal-weight prefixes must exist once the domain checks pass"
-        ) from exc
+    match = _shift_match(big_u[::-1], "a" + big_v, g.m)
     s_len = match.u_prefix_len
     t_len = match.v_prefix_len - 1
     u_rest, s = big_u[: len(big_u) - s_len], big_u[len(big_u) - s_len :]
     t, v_rest = big_v[:t_len], big_v[t_len:]
-    return u_rest + reverse(t) + reverse(s) + v_rest
+    return u_rest + t[::-1] + s[::-1] + v_rest
 
 
 def factorize_at_least(w: Word, p: int, g: Grading) -> tuple[Word, Word]:
@@ -178,27 +191,29 @@ def decompose(w: Word, p: int, q: int, g: Grading) -> Decomposition:
     """
     _check_shift_params(w, p, q, g)
     u, v = factorize_at_least(w, p, g)
-    overshoot = weight(u, g) - p
+    k = u.count("b")
+    overshoot = len(u) + g.m * k - p
     if overshoot == 0:
         return BranchA(w)
     # the letter that crossed the target weighs more than 1, so it is a 'b'
     assert u.endswith("b"), "overshoot requires a final b"
-    return BranchB(j=overshoot, k=b_count(u), u_prime=u[:-1], v=v)
+    return BranchB(j=overshoot, k=k, u_prime=u[:-1], v=v)
 
 
 def _check_branch_b(d: BranchB, p: int, q: int, g: Grading) -> None:
     m = g.m
-    n = b_count(d.u_prime) + 1 + b_count(d.v)
+    u_b, v_b = b_count(d.u_prime), b_count(d.v)
+    n = u_b + 1 + v_b
     if not 1 <= d.j <= m:
         raise InvariantViolationError(f"j={d.j} outside [1, {m}]")
     if not 1 <= d.k <= n:
         raise InvariantViolationError(f"k={d.k} outside [1, {n}]")
-    if weight(d.u_prime, g) != p + d.j - m - 1 or b_count(d.u_prime) != d.k - 1:
+    if len(d.u_prime) + m * u_b != p + d.j - m - 1 or u_b != d.k - 1:
         raise InvariantViolationError(
             f"u'={d.u_prime!r} is not in the class of weight {p + d.j - m - 1} "
             f"with {d.k - 1} letters b"
         )
-    if weight(d.v, g) != q + m * n - d.j or b_count(d.v) != n - d.k:
+    if len(d.v) + m * v_b != q + m * n - d.j or v_b != n - d.k:
         raise InvariantViolationError(
             f"v={d.v!r} is not in the class of weight {q + m * n - d.j} "
             f"with {n - d.k} letters b"
@@ -209,11 +224,11 @@ def compose(d: Decomposition, p: int, q: int, g: Grading) -> Word:
     """Rebuild the word from a decomposition; inverse of :func:`decompose`."""
     if isinstance(d, BranchA):
         n = b_count(d.w)
-        if weight(d.w, g) != p + q + g.m * n:
+        if len(d.w) + g.m * n != p + q + g.m * n:
             raise InvariantViolationError(
                 f"word {d.w!r} is not in the class for p={p}, q={q}, m={g.m}"
             )
-        if not has_prefix_of_weight(d.w, p, g):
+        if _prefix_length(d.w, p, g.m) is None:
             raise InvariantViolationError(
                 f"word {d.w!r} has no prefix of weight {p}"
             )

@@ -10,23 +10,17 @@ the text mode.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import bijections, identities, qseries, words
-from .errors import (
-    CapExceededError,
-    InvariantViolationError,
-    NotInDomainError,
-    ParameterError,
-    UnsupportedArgumentError,
-)
-from .identities import VerificationReport
+from .errors import CapExceededError
+from .identities import Identity, VerificationReport
 from .words import Grading
 
 DEFAULT_WORK_CAP = 10_000_000
@@ -37,142 +31,16 @@ class UsageError(Exception):
     """Bad flags or sweep configuration; maps to exit code 2."""
 
 
-def _comb0(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def _fmt_word(w: str) -> str:
     return w if w else "ε"
 
 
+def _registry() -> dict[str, Identity]:
+    return {**identities.IDENTITIES, **qseries.IDENTITIES}
+
+
 # ---------------------------------------------------------------------------
 # verify: sweep machinery
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """A resolved verification sweep."""
-
-    identity: str
-    values: dict[str, list]
-    fmt: str
-    fail_fast: bool
-    cap: int
-
-
-@dataclass(frozen=True)
-class _IdentityDef:
-    order: tuple[str, ...]
-    run: Callable[[dict], VerificationReport]
-    estimate: Callable[[dict], int]
-    fractional: frozenset = frozenset()
-    dependent: dict = field(default_factory=dict)
-    skip: Callable[[dict], bool] | None = None
-    enum_length: Callable[[dict], int | None] | None = None
-
-
-def _run_cardinality(v: dict) -> VerificationReport:
-    count = len(words.enumerate_gamma(v["p"], v["k"], Grading(v["m"])))
-    predicted = _comb0(v["p"] - v["k"] * v["m"], v["k"])
-    return VerificationReport.from_sides(
-        "cardinality",
-        {"p": v["p"], "k": v["k"], "m": v["m"]},
-        Fraction(count),
-        Fraction(predicted),
-    )
-
-
-def _card_length(v: dict) -> int | None:
-    if v["p"] - (v["m"] + 1) * v["k"] < 0:
-        return None
-    return v["p"] - v["m"] * v["k"]
-
-
-def _card_work(v: dict) -> int:
-    return _comb0(v["p"] - v["k"] * v["m"], v["k"]) * max(1, v["p"] - v["m"] * v["k"]) + 1
-
-
-def _qword_length(v: dict) -> int | None:
-    if v["p"] + v["q"] - v["n"] < 0:
-        return None
-    return v["p"] + v["q"]
-
-
-IDENTITIES: dict[str, _IdentityDef] = {
-    "rothe1": _IdentityDef(
-        order=("x", "y", "z", "n"),
-        fractional=frozenset({"x", "y", "z"}),
-        run=lambda v: identities.check_rothe1(v["x"], v["y"], v["z"], v["n"]),
-        estimate=lambda v: v["n"] + 1,
-    ),
-    "rothe2": _IdentityDef(
-        order=("x", "y", "z", "n"),
-        fractional=frozenset({"x", "y", "z"}),
-        run=lambda v: identities.check_rothe2(v["x"], v["y"], v["z"], v["n"]),
-        estimate=lambda v: v["n"] + 1,
-    ),
-    "gould": _IdentityDef(
-        order=("x", "y", "z", "n", "eps"),
-        fractional=frozenset({"x", "y", "z", "eps"}),
-        dependent={"eps": lambda acc: range(0, acc["n"] + 1)},
-        run=lambda v: identities.check_gould(v["x"], v["y"], v["z"], v["eps"], v["n"]),
-        estimate=lambda v: 2 * (v["n"] + 1),
-    ),
-    "pqkm": _IdentityDef(
-        order=("p", "q", "m", "n"),
-        run=lambda v: identities.check_pqkm(v["p"], v["q"], v["m"], v["n"]),
-        estimate=lambda v: 2 * (v["n"] + 1),
-    ),
-    "kmx": _IdentityDef(
-        order=("p", "q", "m", "n"),
-        run=lambda v: identities.check_kmx(v["p"], v["q"], v["m"], v["n"]),
-        estimate=lambda v: (v["n"] + 1) * (v["m"] + 1),
-        skip=lambda v: v["p"] < v["m"] * v["n"] or v["q"] < 1,
-    ),
-    "kmpink": _IdentityDef(
-        order=("p", "q", "m", "n", "j"),
-        dependent={"j": lambda acc: range(1, acc["m"] + 1)},
-        run=lambda v: identities.check_kmpink(v["p"], v["q"], v["m"], v["n"], v["j"]),
-        estimate=lambda v: 2 * (v["n"] + 1),
-        skip=lambda v: not 1 <= v["j"] <= v["m"],
-    ),
-    "cardinality": _IdentityDef(
-        order=("p", "k", "m"),
-        run=_run_cardinality,
-        estimate=_card_work,
-        enum_length=_card_length,
-    ),
-    "invw": _IdentityDef(
-        order=("p", "k", "m"),
-        run=lambda v: qseries.check_invw(v["p"], v["k"], v["m"]),
-        estimate=_card_work,
-        skip=lambda v: v["p"] < v["k"] * v["m"],
-        enum_length=_card_length,
-    ),
-    "qchu": _IdentityDef(
-        order=("x", "y", "m", "n"),
-        run=lambda v: qseries.check_qchu(v["x"], v["y"], v["m"], v["n"]),
-        estimate=lambda v: (v["n"] + 1) ** 2 * (v["m"] + 1) + 1,
-        skip=lambda v: v["x"] < v["m"] * v["n"] or v["y"] < 1,
-    ),
-    "qchu-m1": _IdentityDef(
-        order=("x", "y", "n"),
-        run=lambda v: qseries.check_qchu_m1(v["x"], v["y"], v["n"]),
-        estimate=lambda v: 2 * (v["n"] + 1) ** 2 + 1,
-        skip=lambda v: v["x"] < v["n"] or v["y"] < 1,
-    ),
-    "qword": _IdentityDef(
-        order=("p", "q", "m", "n"),
-        run=lambda v: qseries.qweighted_bijection_check(v["p"], v["q"], v["m"], v["n"]),
-        estimate=lambda v: _comb0(v["p"] + v["q"], v["n"]) * max(1, v["p"] + v["q"])
-        + (v["n"] + 1) ** 2 * (v["m"] + 1)
-        + 1,
-        skip=lambda v: v["p"] < v["m"] * v["n"] or v["q"] < 1,
-        enum_length=_qword_length,
-    ),
-}
 
 
 def _parse_values(text: str, name: str, fractional: bool) -> list:
@@ -202,21 +70,27 @@ def _parse_values(text: str, name: str, fractional: bool) -> list:
         ) from None
 
 
-def _expand_tuples(defn: _IdentityDef, values: dict[str, list]) -> Iterator[dict]:
-    order = defn.order
+def _points(record: Identity, values: dict[str, list]) -> Iterator[tuple]:
+    """Every tuple of a sweep, in sweep order; a variable left unset ranges
+    over its default, computed from the values before it."""
+    order = record.order
+    head = 0
+    while head < len(order) and order[head] in values:
+        head += 1
 
-    def rec(i: int, acc: dict) -> Iterator[dict]:
+    def rest(point: tuple, i: int) -> Iterator[tuple]:
         if i == len(order):
-            yield dict(acc)
+            yield point
             return
         name = order[i]
-        pool = values[name] if name in values else defn.dependent[name](acc)
+        pool = values[name] if name in values else record.defaults[name](*point)
         for value in pool:
-            acc[name] = value
-            yield from rec(i + 1, acc)
-        acc.pop(name, None)
+            yield from rest((*point, value), i + 1)
 
-    return rec(0, {})
+    points = itertools.product(*(values[name] for name in order[:head]))
+    if head == len(order):
+        return points
+    return (full for point in points for full in rest(point, head))
 
 
 def _resolve_cap(args) -> int:
@@ -252,54 +126,56 @@ def _emit_report(report: VerificationReport, fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    defn = IDENTITIES.get(args.identity)
-    if defn is None:
+    registry = _registry()
+    record = registry.get(args.identity)
+    if record is None:
         raise UsageError(
-            f"unknown identity {args.identity!r}; choose from {', '.join(sorted(IDENTITIES))}"
+            f"unknown identity {args.identity!r}; choose from {', '.join(sorted(registry))}"
         )
     values: dict[str, list] = {}
-    for name in defn.order:
-        raw = getattr(args, name.replace("-", "_"))
+    for name in record.order:
+        raw = getattr(args, name)
         if raw is None:
-            if name in defn.dependent:
+            if name in record.defaults:
                 continue
             raise UsageError(f"--{name} is required for identity '{args.identity}'")
-        values[name] = _parse_values(raw, name, fractional=name in defn.fractional)
-    cfg = SweepConfig(args.identity, values, args.format, args.fail_fast, _resolve_cap(args))
+        values[name] = _parse_values(raw, name, fractional=name in record.rational)
+    cap = _resolve_cap(args)
+    domain, word_length = record.domain, record.word_length
 
     # estimate the work up front, stopping at the first tuple that breaches a
     # cap; refuse the whole sweep on a breach
     total_work = 0
-    for v in _expand_tuples(defn, values):
-        if defn.skip is not None and defn.skip(v):
+    for point in _points(record, values):
+        if domain is not None and not domain(*point):
             continue
-        if defn.enum_length is not None:
-            length = defn.enum_length(v)
+        if word_length is not None:
+            length = word_length(*point)
             if length is not None and length > words.MAX_WORD_LENGTH:
                 raise UsageError(
-                    f"tuple {v} enumerates words of length {length}, beyond the "
-                    f"length cap {words.MAX_WORD_LENGTH}"
+                    f"tuple {dict(zip(record.order, point))} enumerates words of length "
+                    f"{length}, beyond the length cap {words.MAX_WORD_LENGTH}"
                 )
-        total_work += defn.estimate(v)
-        if total_work > cfg.cap:
+        total_work += record.cost(*point)
+        if total_work > cap:
             raise UsageError(
-                f"estimated work of at least {total_work} exceeds the cap {cfg.cap}; "
+                f"estimated work of at least {total_work} exceeds the cap {cap}; "
                 f"narrow the ranges or raise --cap / ${CAP_ENV_VAR}"
             )
 
     checked = failed = skipped = 0
-    for v in _expand_tuples(defn, values):
-        if defn.skip is not None and defn.skip(v):
+    for point in _points(record, values):
+        if domain is not None and not domain(*point):
             skipped += 1
             continue
-        report = defn.run(v)
+        report = record.check(**dict(zip(record.order, point)))
         checked += 1
         if not report.passed:
             failed += 1
-        _emit_report(report, cfg.fmt)
-        if failed and cfg.fail_fast:
+        _emit_report(report, args.format)
+        if failed and args.fail_fast:
             break
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"checked": checked, "failed": failed, "skipped": skipped}))
     else:
         tail = f", {skipped} skipped" if skipped else ""
@@ -317,7 +193,8 @@ def cmd_enumerate(args) -> int:
         listing = words.enumerate_gamma(args.p, args.k, g)
     else:
         listing = words.enumerate_gamma_prefix(args.p, args.k, args.prefix_weight, g)
-    predicted = _comb0(args.p - args.k * args.m, args.k)
+    length = args.p - args.k * args.m
+    predicted = math.comb(length, args.k) if 0 <= args.k <= length else 0
     for w in listing:
         if args.format == "json":
             entry = words.word_json(w, g)
@@ -328,9 +205,7 @@ def cmd_enumerate(args) -> int:
     if args.format == "json":
         print(json.dumps({"count": len(listing), "predicted": predicted}))
     else:
-        print(
-            f"count {len(listing)}, predicted C({args.p - args.k * args.m},{args.k}) = {predicted}"
-        )
+        print(f"count {len(listing)}, predicted C({length},{args.k}) = {predicted}")
     return 0
 
 
@@ -340,18 +215,8 @@ def cmd_enumerate(args) -> int:
 
 def _emit_pair(w: str, out: str, args, fmt: str) -> None:
     if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "input": w,
-                    "output": out,
-                    "p": args.p,
-                    "q": args.q,
-                    "m": args.m,
-                    "n": args.n,
-                }
-            )
-        )
+        params = {"p": args.p, "q": args.q, "m": args.m, "n": args.n}
+        print(json.dumps({"input": w, "output": out, **params}))
     else:
         print(f"{_fmt_word(w)} → {_fmt_word(out)}")
 
@@ -361,10 +226,6 @@ def _bijection_theorem1(args, g: Grading) -> int:
     backward = bijections.theorem1_forward if args.inverse else bijections.theorem1_inverse
     if args.word is not None:
         w = args.word
-        if words.b_count(w) != args.n:
-            raise UsageError(
-                f"word {w!r} has {words.b_count(w)} letters 'b', expected n={args.n}"
-            )
         out = forward(w, args.p, args.q, g)
         _emit_pair(w, out, args, args.format)
         return 0
@@ -424,10 +285,6 @@ def _decomposition_json(w: str, d: bijections.Decomposition, args) -> dict:
 def _bijection_factorize(args, g: Grading) -> int:
     if args.word is not None:
         w = args.word
-        if words.b_count(w) != args.n:
-            raise UsageError(
-                f"word {w!r} has {words.b_count(w)} letters 'b', expected n={args.n}"
-            )
         d = bijections.decompose(w, args.p, args.q, g)
         if args.format == "json":
             print(json.dumps(_decomposition_json(w, d, args)))
@@ -461,6 +318,11 @@ def cmd_bijection(args) -> int:
     g = Grading(args.m)
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {args.n}")
+    if args.word is not None and words.b_count(args.word) != args.n:
+        raise UsageError(
+            f"word {args.word!r} has {words.b_count(args.word)} letters 'b', "
+            f"expected n={args.n}"
+        )
     if args.kind == "theorem1":
         return _bijection_theorem1(args, g)
     return _bijection_factorize(args, g)
@@ -479,10 +341,7 @@ def cmd_grid_prove(args) -> int:
             raise UsageError(
                 f"--offsets must be comma-separated integers, got {args.offsets!r}"
             ) from None
-    try:
-        report = identities.grid_prove(args.identity, args.n, offsets)
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from None
+    report = identities.grid_prove(args.identity, args.n, offsets)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     elif report.passed:
@@ -512,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and verify the classical convolution identities exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    registry = _registry()
 
     sp = sub.add_parser("enumerate", help="list a weight class of words")
     sp.add_argument("--p", type=int, required=True, help="total weight")
@@ -538,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run an identity checker over parameter ranges")
     sp.add_argument("--identity", required=True,
-                    help=f"one of: {', '.join(sorted(IDENTITIES))}")
-    for flag in ("x", "y", "z", "eps", "n", "p", "q", "m", "k", "j"):
-        sp.add_argument(f"--{flag}", help="single value or inclusive range LO..HI")
+                    help=f"one of: {', '.join(sorted(registry))}")
+    for name in dict.fromkeys(name for r in registry.values() for name in r.order):
+        sp.add_argument(f"--{name}", help="single value or inclusive range LO..HI")
     sp.add_argument("--fail-fast", action="store_true",
                     help="stop at the first failing tuple")
     sp.add_argument("--cap", type=int, default=None,
@@ -551,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("grid-prove",
                         help="certify an identity as a polynomial identity on a grid")
-    sp.add_argument("--identity", required=True, choices=("rothe1", "rothe2", "gould"))
+    sp.add_argument("--identity", required=True,
+                    choices=[k for k, r in registry.items() if r.grid_variables])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--offsets", default=None,
                     help="comma-separated grid start per variable (default zeros)")
@@ -569,19 +430,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        ParameterError,
-        NotInDomainError,
-        InvariantViolationError,
-        UnsupportedArgumentError,
-        ValueError,
-    ) as exc:
+    except (UsageError, CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ParameterError
 
@@ -83,6 +83,40 @@ class VerificationReport:
                 k: _json_value(v) for k, v in self.counterexample.items()
             }
         return out
+
+
+@dataclass(frozen=True)
+class Identity:
+    """Everything stated about one identity, in one place.
+
+    ``check`` takes every variable by keyword and returns a report. ``order``
+    is the sweep order, the last variable varying fastest; ``rational`` names
+    the variables that may take non-integer values. The other callables take
+    the variables positionally in sweep order: ``defaults`` maps a variable
+    that may be left unset to its range, computed from the variables before
+    it; ``domain`` is the precondition, outside which ``check`` raises
+    :class:`ParameterError` and a sweep skips the tuple (``None`` when there
+    is none); ``cost`` estimates the elementary evaluations of one check;
+    ``word_length`` gives the length of the words the check enumerates, or
+    ``None`` for an empty class (``None`` itself when it enumerates nothing).
+    """
+
+    check: Callable[..., VerificationReport]
+    order: tuple[str, ...]
+    cost: Callable[..., int]
+    rational: frozenset[str] = frozenset()
+    defaults: Mapping[str, Callable[..., range]] = field(default_factory=dict)
+    domain: Callable[..., bool] | None = None
+    word_length: Callable[..., int | None] | None = None
+
+    @property
+    def grid_variables(self) -> tuple[str, ...] | None:
+        """Every variable but the degree ``n``, when all of them may be
+        rational, so that a grid in them certifies a polynomial identity."""
+        free = tuple(name for name in self.order if name != "n")
+        if "n" in self.order and set(free) == self.rational:
+            return free
+        return None
 
 
 def gen_binomial(t: RationalLike, k: int) -> Fraction:
@@ -206,16 +240,19 @@ def check_pqkm(p: int, q: int, m: int, n: int) -> VerificationReport:
     )
 
 
+def shift_domain(p: int, q: int, m: int, n: int) -> bool:
+    """The range ``p >= m*n``, ``q >= 1`` of the two-branch shift identities."""
+    return p >= m * n and q >= 1
+
+
 def check_kmx(p: int, q: int, m: int, n: int) -> VerificationReport:
     """Two-branch counting identity
     ``sum_k [C(p - k*m, k) * C(q + k*m, n - k)
              + sum_{j=1}^{m} C(p - k*m + j - 1, k - 1) * C(q + k*m - j, n - k)]
       == C(p + q, n)``."""
     _require_n(n)
-    if p < m * n:
-        raise ParameterError(f"need p >= m*n, got p={p}, m={m}, n={n}")
-    if q < 1:
-        raise ParameterError(f"need q >= 1, got q={q}")
+    if not shift_domain(p, q, m, n):
+        raise ParameterError(f"need p >= m*n and q >= 1, got p={p}, q={q}, m={m}, n={n}")
     lhs = Fraction(0)
     for k in range(n + 1):
         lhs += gen_binomial(p - k * m, k) * gen_binomial(q + k * m, n - k)
@@ -229,11 +266,15 @@ def check_kmx(p: int, q: int, m: int, n: int) -> VerificationReport:
     )
 
 
+def _kmpink_domain(p: int, q: int, m: int, n: int, j: int) -> bool:
+    return 1 <= j <= m
+
+
 def check_kmpink(p: int, q: int, m: int, n: int, j: int) -> VerificationReport:
     """Inner-shift identity, for ``1 <= j <= m``:
     ``sum_k C(p - k*m + j - 1, k - 1) * C(q + k*m - j, n - k)
       == sum_k C(p - k*m - 1, k - 1) * C(q + k*m, n - k)``."""
-    if not 1 <= j <= m:
+    if not _kmpink_domain(p, q, m, n, j):
         raise ParameterError(f"j must lie in [1, m] = [1, {m}], got {j}")
     lhs = sum(
         gen_binomial(p - k * m + j - 1, k - 1) * gen_binomial(q + k * m - j, n - k)
@@ -251,20 +292,47 @@ def check_kmpink(p: int, q: int, m: int, n: int, j: int) -> VerificationReport:
     )
 
 
-_GRID_CHECKERS = {
-    "rothe1": (check_rothe1, ("x", "y", "z")),
-    "rothe2": (check_rothe2, ("x", "y", "z")),
-    "gould": (check_gould, ("x", "y", "z", "eps")),
+IDENTITIES: dict[str, Identity] = {
+    "rothe1": Identity(
+        check=check_rothe1,
+        order=("x", "y", "z", "n"),
+        rational=frozenset({"x", "y", "z"}),
+        cost=lambda x, y, z, n: n + 1,
+    ),
+    "rothe2": Identity(
+        check=check_rothe2,
+        order=("x", "y", "z", "n"),
+        rational=frozenset({"x", "y", "z"}),
+        cost=lambda x, y, z, n: n + 1,
+    ),
+    "gould": Identity(
+        check=check_gould,
+        order=("x", "y", "z", "n", "eps"),
+        rational=frozenset({"x", "y", "z", "eps"}),
+        defaults={"eps": lambda x, y, z, n: range(0, n + 1)},
+        cost=lambda x, y, z, n, eps: 2 * (n + 1),
+    ),
+    "pqkm": Identity(
+        check=check_pqkm,
+        order=("p", "q", "m", "n"),
+        cost=lambda p, q, m, n: 2 * (n + 1),
+    ),
+    "kmx": Identity(
+        check=check_kmx,
+        order=("p", "q", "m", "n"),
+        domain=shift_domain,
+        cost=lambda p, q, m, n: (n + 1) * (m + 1),
+    ),
+    "kmpink": Identity(
+        check=check_kmpink,
+        order=("p", "q", "m", "n", "j"),
+        defaults={"j": lambda p, q, m, n: range(1, m + 1)},
+        domain=_kmpink_domain,
+        cost=lambda p, q, m, n, j: 2 * (n + 1),
+    ),
 }
-
-
-def grid_variables(identity: str) -> tuple[str, ...]:
-    """Free variables of a grid-certifiable identity, in evaluation order."""
-    if identity not in _GRID_CHECKERS:
-        raise ParameterError(
-            f"grid certification supports {sorted(_GRID_CHECKERS)}, got {identity!r}"
-        )
-    return _GRID_CHECKERS[identity][1]
+"""The rational and integer identities by name; :mod:`rothe_lab.qseries`
+holds the q-identities and the word-class oracles."""
 
 
 def grid_prove(
@@ -279,8 +347,11 @@ def grid_prove(
     polynomial forms have no singular points). On failure the report carries
     the first counterexample point.
     """
-    variables = grid_variables(identity)
-    checker = _GRID_CHECKERS[identity][0]
+    record = IDENTITIES.get(identity)
+    variables = record.grid_variables if record else None
+    if variables is None:
+        supported = sorted(k for k, r in IDENTITIES.items() if r.grid_variables)
+        raise ParameterError(f"grid certification supports {supported}, got {identity!r}")
     _require_n(n)
     if offsets is None:
         offsets = (0,) * len(variables)
@@ -291,7 +362,7 @@ def grid_prove(
     count = 0
     last = None
     for point in itertools.product(*(range(off, off + n + 1) for off in offsets)):
-        report = checker(*point, n)
+        report = record.check(n=n, **dict(zip(variables, point)))
         count += 1
         if not report.passed:
             return VerificationReport(

@@ -8,14 +8,16 @@ numeric specialization offered is ``q = 1``).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 
 from .errors import ParameterError, UnsupportedArgumentError
-from .identities import VerificationReport
+from .identities import Identity, VerificationReport, shift_domain
 from .words import MAX_WORD_LENGTH, Grading, enumerate_gamma, inversions
 
 
@@ -214,28 +216,6 @@ class LaurentPolynomial:
         return {"terms": [[e, str(c)] for e, c in self.sorted_terms()]}
 
 
-def lp_add(a, b) -> LaurentPolynomial:
-    """Exact sum of two Laurent polynomials (ints coerce to constants)."""
-    return _as_poly(a) + _as_poly(b)
-
-
-def lp_mul(a, b) -> LaurentPolynomial:
-    """Exact product of two Laurent polynomials (ints coerce to constants)."""
-    return _as_poly(a) * _as_poly(b)
-
-
-def lp_shift(p, exponent: int) -> LaurentPolynomial:
-    """Multiply ``p`` by ``q ** exponent``."""
-    return _as_poly(p).shift(exponent)
-
-
-def _as_poly(value) -> LaurentPolynomial:
-    out = LaurentPolynomial._coerce(value)
-    if out is None:
-        raise TypeError(f"expected LaurentPolynomial or int, got {type(value).__name__}")
-    return out
-
-
 @lru_cache(maxsize=None)
 def gaussian_binomial(a: int, k: int) -> LaurentPolynomial:
     """Gaussian binomial coefficient as a polynomial in ``q``.
@@ -284,9 +264,41 @@ def inv_generating_function(
     return LaurentPolynomial(counts)
 
 
+def _comb0(n: int, k: int) -> int:
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _class_length(p: int, k: int, m: int) -> int | None:
+    """Length of the words of weight ``p`` with ``k`` letters ``b``, or
+    ``None`` when there are none."""
+    return None if p - (m + 1) * k < 0 else p - m * k
+
+
+def _class_cost(p: int, k: int, m: int) -> int:
+    return _comb0(p - k * m, k) * max(1, p - m * k) + 1
+
+
+def check_cardinality(p: int, k: int, m: int) -> VerificationReport:
+    """Class size oracle: enumeration finds ``C(p - k*m, k)`` words of weight
+    ``p`` with ``k`` letters ``b`` (none when a letter count is negative)."""
+    count = len(enumerate_gamma(p, k, Grading(m)))
+    return VerificationReport.from_sides(
+        "cardinality",
+        {"p": p, "k": k, "m": m},
+        Fraction(count),
+        Fraction(_comb0(p - k * m, k)),
+    )
+
+
+def _invw_domain(p: int, k: int, m: int) -> bool:
+    return p >= k * m
+
+
 def check_invw(p: int, k: int, m: int) -> VerificationReport:
     """Inversion statistic oracle: the enumerated generating function equals
     the Gaussian binomial ``[p - k*m, k]``. Requires ``p >= k*m``."""
+    if not _invw_domain(p, k, m):
+        raise ParameterError(f"need p >= k*m, got p={p}, k={k}, m={m}")
     lhs = inv_generating_function(p, k, Grading(m))
     rhs = gaussian_binomial(p - k * m, k)
     return VerificationReport.from_sides("invw", {"p": p, "k": k, "m": m}, lhs, rhs)
@@ -326,10 +338,8 @@ def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
         raise ParameterError(f"n must be >= 0, got {n}")
     if m < 0:
         raise ParameterError(f"m must be >= 0, got {m}")
-    if x < m * n:
-        raise ParameterError(f"need x >= m*n, got x={x}, m={m}, n={n}")
-    if y < 1:
-        raise ParameterError(f"need y >= 1, got y={y}")
+    if not shift_domain(x, y, m, n):
+        raise ParameterError(f"need x >= m*n and y >= 1, got x={x}, y={y}, m={m}, n={n}")
     lhs = _qchu_sum(x, y, m, n)
     rhs = gaussian_binomial(x + y, n)
     return VerificationReport.from_sides(
@@ -346,16 +356,18 @@ def qchu_m1_term(x: int, y: int, n: int, k: int) -> LaurentPolynomial:
     return total.shift(k * (2 * k + y - n))
 
 
+def _qchu_m1_domain(x: int, y: int, n: int) -> bool:
+    return shift_domain(x, y, 1, n)
+
+
 def check_qchu_m1(x: int, y: int, n: int) -> VerificationReport:
     """``m = 1`` form: ``sum_k q^{k(2k+y-n)} ([x-k, k] [y+k, n-k]
     + [x-k, k-1] [y+k-1, n-k] q^{-k}) == [x+y, n]``; term by term this is
     :func:`check_qchu` at ``m = 1``."""
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
-    if x < n:
-        raise ParameterError(f"need x >= n, got x={x}, n={n}")
-    if y < 1:
-        raise ParameterError(f"need y >= 1, got y={y}")
+    if not _qchu_m1_domain(x, y, n):
+        raise ParameterError(f"need x >= n and y >= 1, got x={x}, y={y}, n={n}")
     lhs = LaurentPolynomial.zero()
     for k in range(n + 1):
         lhs = lhs + qchu_m1_term(x, y, n, k)
@@ -373,10 +385,8 @@ def qweighted_bijection_check(
     structured double sum of :func:`check_qchu`."""
     if m < 0 or n < 0:
         raise ParameterError(f"need m, n >= 0, got m={m}, n={n}")
-    if p < m * n:
-        raise ParameterError(f"need p >= m*n, got p={p}, m={m}, n={n}")
-    if q < 1:
-        raise ParameterError(f"need q >= 1, got q={q}")
+    if not shift_domain(p, q, m, n):
+        raise ParameterError(f"need p >= m*n and q >= 1, got p={p}, q={q}, m={m}, n={n}")
     enumerated = inv_generating_function(
         p + q + m * n, n, Grading(m), max_length=max_length
     )
@@ -390,3 +400,43 @@ def qweighted_bijection_check(
     return VerificationReport(
         "qword", params, enumerated, bracket, "fail", counterexample
     )
+
+
+IDENTITIES: dict[str, Identity] = {
+    "cardinality": Identity(
+        check=check_cardinality,
+        order=("p", "k", "m"),
+        cost=_class_cost,
+        word_length=_class_length,
+    ),
+    "invw": Identity(
+        check=check_invw,
+        order=("p", "k", "m"),
+        domain=_invw_domain,
+        cost=_class_cost,
+        word_length=_class_length,
+    ),
+    "qchu": Identity(
+        check=check_qchu,
+        order=("x", "y", "m", "n"),
+        domain=shift_domain,
+        cost=lambda x, y, m, n: (n + 1) ** 2 * (m + 1) + 1,
+    ),
+    "qchu-m1": Identity(
+        check=check_qchu_m1,
+        order=("x", "y", "n"),
+        domain=_qchu_m1_domain,
+        cost=lambda x, y, n: 2 * (n + 1) ** 2 + 1,
+    ),
+    "qword": Identity(
+        check=qweighted_bijection_check,
+        order=("p", "q", "m", "n"),
+        domain=shift_domain,
+        cost=lambda p, q, m, n: _comb0(p + q, n) * max(1, p + q)
+        + (n + 1) ** 2 * (m + 1)
+        + 1,
+        word_length=lambda p, q, m, n: _class_length(p + q + m * n, n, m),
+    ),
+}
+"""The q-identities and the word-class oracles by name; the rational and
+integer identities are in :data:`rothe_lab.identities.IDENTITIES`."""

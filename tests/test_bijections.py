@@ -22,6 +22,7 @@ from rothe_lab import (
     theorem1_inverse,
     weight,
 )
+from rothe_lab import bijections
 
 
 def all_words(max_len):
@@ -224,3 +225,44 @@ def test_bijections_preserve_weight_and_bcount():
             out = theorem1_forward(w, p, q, g)
             assert weight(out, g) == weight(w, g)
             assert b_count(out) == b_count(w)
+
+
+def test_bijections_reject_foreign_letters():
+    g = Grading(1)
+    with pytest.raises(ValueError):
+        theorem1_forward("abc", 1, 1, g)
+    with pytest.raises(ValueError):
+        theorem1_inverse("bca", 1, 1, g)
+    with pytest.raises(ValueError):
+        decompose("bc", 1, 1, g)
+    with pytest.raises(ValueError):
+        compose(BranchA("ac"), 1, 1, g)
+    with pytest.raises(ValueError):
+        compose(BranchB(j=1, k=1, u_prime="", v="c"), 1, 1, g)
+    with pytest.raises(ValueError):
+        compose(BranchB(j=1, k=1, u_prime="c", v="a"), 1, 1, g)
+
+
+def test_bijections_validate_each_input_word_once(monkeypatch):
+    # steps on slices of an already checked word use plain str operations
+    calls = []
+
+    def counting_b_count(w):
+        calls.append(w)
+        return b_count(w)
+
+    monkeypatch.setattr(bijections, "b_count", counting_b_count)
+    g = Grading(1)
+    for w in enumerate_gamma(9, 2, g):
+        for apply in (theorem1_forward, theorem1_inverse, decompose):
+            calls.clear()
+            try:
+                out = apply(w, 3, 2, g)
+            except NotInDomainError:
+                continue
+            assert calls == [w]
+            if apply is decompose:
+                calls.clear()
+                assert compose(out, 3, 2, g) == w
+                parts = [out.w] if isinstance(out, BranchA) else [out.u_prime, out.v]
+                assert calls == parts

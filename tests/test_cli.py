@@ -1,7 +1,12 @@
+import dataclasses
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
-from rothe_lab import VerificationReport, cli
+import pytest
+
+from rothe_lab import VerificationReport, cli, identities
 
 
 def run(capsys, *argv):
@@ -12,6 +17,12 @@ def run(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.splitlines() if line]
+
+
+def patch_check(monkeypatch, identity, check):
+    """Swap the checker of one registry entry for the length of a test."""
+    entry = dataclasses.replace(identities.IDENTITIES[identity], check=check)
+    monkeypatch.setitem(identities.IDENTITIES, identity, entry)
 
 
 def test_enumerate_text(capsys):
@@ -342,7 +353,7 @@ def test_verify_reports_failure_exit_1(capsys, monkeypatch):
             "rothe2", {"x": x, "y": y, "z": z, "n": n}, Fraction(1), Fraction(2)
         )
 
-    monkeypatch.setattr(cli.identities, "check_rothe2", broken)
+    patch_check(monkeypatch, "rothe2", broken)
     code, out, _ = run(
         capsys, "verify", "--identity", "rothe2",
         "--x", "0..2", "--y", "2", "--z", "1", "--n", "2",
@@ -366,7 +377,7 @@ def test_verify_failure_json_has_counterexample(capsys, monkeypatch):
             "rothe2", {"x": x, "y": y, "z": z, "n": n}, Fraction(1), Fraction(2)
         )
 
-    monkeypatch.setattr(cli.identities, "check_rothe2", broken)
+    patch_check(monkeypatch, "rothe2", broken)
     code, out, _ = run(
         capsys, "verify", "--identity", "rothe2",
         "--x", "2", "--y", "2", "--z", "1", "--n", "2", "--format", "json",
@@ -421,6 +432,10 @@ def test_grid_prove_offsets(capsys):
 def test_grid_prove_bad_identity_exit_2(capsys):
     code, _, _ = run(capsys, "grid-prove", "--identity", "nope", "--n", "2")
     assert code == 2
+    # only the identities whose free variables may all be rational
+    code, _, err = run(capsys, "grid-prove", "--identity", "kmx", "--n", "1")
+    assert code == 2
+    assert "{rothe1,rothe2,gould}" in err
 
 
 def test_grid_prove_failure_exit_1(capsys, monkeypatch):
@@ -429,7 +444,7 @@ def test_grid_prove_failure_exit_1(capsys, monkeypatch):
             "rothe1", {"x": x, "y": y, "z": z, "n": n}, Fraction(0), Fraction(1)
         )
 
-    monkeypatch.setattr(cli.identities, "_GRID_CHECKERS", {"rothe1": (broken, ("x", "y", "z"))})
+    patch_check(monkeypatch, "rothe1", broken)
     code, out, _ = run(capsys, "grid-prove", "--identity", "rothe1", "--n", "1")
     assert code == 1
     assert out.startswith("COUNTEREXAMPLE rothe1 at x=0 y=0 z=0")
@@ -483,3 +498,86 @@ def test_verify_huge_sweep_refused_without_full_walk(capsys):
     assert code == 2
     assert out == ""
     assert "cap" in err
+
+
+# one small sweep per registry entry: (flags, checked, skipped); every entry
+# with a domain skips at least one tuple, counted by hand from its domain
+REGISTRY_SWEEPS = {
+    "rothe1": (["--x=0..1", "--y=1", "--z=1/2", "--n=0..2"], 6, 0),
+    "rothe2": (["--x=-1..1", "--y=2", "--z=1", "--n=2"], 3, 0),
+    "gould": (["--x=1", "--y=2", "--z=1", "--n=0..2"], 6, 0),
+    "pqkm": (["--p=0..2", "--q=1", "--m=1", "--n=-1..2"], 12, 0),
+    "kmx": (["--p=0..2", "--q=0..1", "--m=1", "--n=1..2"], 3, 9),
+    "kmpink": (["--p=3", "--q=1", "--m=0..2", "--n=2", "--j=0..2"], 3, 6),
+    "cardinality": (["--p=0..4", "--k=0..2", "--m=1"], 15, 0),
+    "invw": (["--p=0..3", "--k=0..2", "--m=1"], 9, 3),
+    "qchu": (["--x=0..2", "--y=0..1", "--m=1", "--n=1"], 2, 4),
+    "qchu-m1": (["--x=0..2", "--y=1", "--n=0..2"], 6, 3),
+    "qword": (["--p=0..2", "--q=1", "--m=1", "--n=0..1"], 5, 1),
+}
+
+
+def registry():
+    return cli._registry()
+
+
+def test_registry_sweeps_cover_every_identity():
+    assert set(REGISTRY_SWEEPS) == set(registry())
+    for name, (_, _, skipped) in REGISTRY_SWEEPS.items():
+        assert (skipped > 0) == (registry()[name].domain is not None), name
+
+
+@pytest.mark.parametrize("identity", sorted(REGISTRY_SWEEPS))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_every_registry_identity(capsys, identity, fmt):
+    flags, checked, skipped = REGISTRY_SWEEPS[identity]
+    code, out, _ = run(capsys, "verify", "--identity", identity, "--format", fmt, *flags)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == checked + 1
+    if fmt == "json":
+        *records, summary = json_lines(out)
+        assert summary == {"checked": checked, "failed": 0, "skipped": skipped}
+        assert all(r["identity"] == identity and r["status"] == "pass" for r in records)
+    else:
+        tail = f", {skipped} skipped" if skipped else ""
+        assert lines[-1] == f"{checked} checked, 0 failed{tail}"
+        for line in lines[:-1]:
+            assert line.startswith(f"{identity} ") and ": PASS " in line
+
+
+def test_verify_exit_code_edges(capsys):
+    # a negative n or m is an argument error, not an out-of-domain tuple
+    code, out, err = run(capsys, "verify", "--identity", "kmx",
+                         "--p", "3", "--q", "1", "--m", "1", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert "n must be >= 0" in err
+    code, out, err = run(capsys, "verify", "--identity", "qchu",
+                         "--x", "3", "--y", "1", "--m", "-1", "--n", "1")
+    assert (code, out) == (2, "")
+    assert "m must be >= 0" in err
+    # pqkm has no precondition: at negative n both sums are empty
+    code, out, _ = run(capsys, "verify", "--identity", "pqkm",
+                       "--p", "2", "--q", "1", "--m", "1", "--n", "-2")
+    assert code == 0
+    assert out.splitlines() == ["pqkm p=2 q=1 m=1 n=-2: PASS 0", "1 checked, 0 failed"]
+    # j defaults to 1..m, which is empty at m = 0
+    code, out, _ = run(capsys, "verify", "--identity", "kmpink",
+                       "--p", "2", "--q", "1", "--m", "0", "--n", "1")
+    assert code == 0
+    assert out == "0 checked, 0 failed\n"
+
+
+def test_verify_help_lists_exactly_the_registry(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    text = " ".join(out.split())
+    listed = text.split("one of: ", 1)[1].split(" --", 1)[0]
+    assert listed.split(", ") == sorted(registry())
+
+
+def test_readme_lists_exactly_the_registry():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = " ".join(readme.split("Identity names for `verify`:", 1)[1].split())
+    names = re.findall(r"`([^`]+)`", paragraph.split(". ", 1)[0])
+    assert names == list(registry())

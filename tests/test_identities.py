@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -21,6 +22,7 @@ from rothe_lab import (
     grid_prove,
     rothe_coeff,
 )
+from rothe_lab import identities, qseries
 
 rationals_st = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -257,3 +259,47 @@ def test_fractional_report_serialization():
     payload = rep.to_json_dict()
     assert payload["params"]["x"] == "1/2"
     assert payload["lhs"] == str(rep.lhs)
+
+
+def merged_registry():
+    return {**identities.IDENTITIES, **qseries.IDENTITIES}
+
+
+def small_points(record):
+    """Integer tuples around each record's domain edges; n and m stay >= 0,
+    where the checkers' own argument checks do not fire."""
+    pools = {"n": range(0, 3), "m": range(0, 3), "eps": range(0, 2)}
+    return itertools.product(*(pools.get(name, range(-1, 4)) for name in record.order))
+
+
+@pytest.mark.parametrize("name", sorted(merged_registry()))
+def test_registry_domain_is_the_checker_precondition(name):
+    record = merged_registry()[name]
+    for point in small_points(record):
+        inside = record.domain is None or record.domain(*point)
+        kwargs = dict(zip(record.order, point))
+        if inside:
+            assert record.check(**kwargs).passed, kwargs
+            assert record.cost(*point) >= 1
+        else:
+            with pytest.raises(ParameterError):
+                record.check(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["cardinality", "invw"])
+def test_registry_word_length_matches_enumeration(name):
+    record = merged_registry()[name]
+    for p, k, m in itertools.product(range(-1, 9), range(-1, 4), range(3)):
+        listing = enumerate_gamma(p, k, Grading(m))
+        length = record.word_length(p, k, m)
+        if k >= 0:
+            assert (length is None) == (listing == [])
+        assert all(len(w) == length for w in listing)
+
+
+def test_registry_grid_variables():
+    registry = merged_registry()
+    assert registry["rothe1"].grid_variables == ("x", "y", "z")
+    assert registry["gould"].grid_variables == ("x", "y", "z", "eps")
+    certifiable = [k for k, r in registry.items() if r.grid_variables]
+    assert certifiable == ["rothe1", "rothe2", "gould"]

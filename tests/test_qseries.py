@@ -15,9 +15,6 @@ from rothe_lab import (
     gaussian_binomial,
     inv_generating_function,
     inversions,
-    lp_add,
-    lp_mul,
-    lp_shift,
     qweighted_bijection_check,
 )
 from rothe_lab.qseries import qchu_m1_term, qchu_term
@@ -26,11 +23,11 @@ ONE_PLUS_Q = LaurentPolynomial({0: 1, 1: 1})
 
 
 def test_lp_op_examples():
-    assert lp_shift(ONE_PLUS_Q, -1) == LaurentPolynomial({-1: 1, 0: 1})
+    assert ONE_PLUS_Q.shift(-1) == LaurentPolynomial({-1: 1, 0: 1})
     one_minus_q = LaurentPolynomial({0: 1, 1: -1})
-    assert lp_mul(ONE_PLUS_Q, one_minus_q) == LaurentPolynomial({0: 1, 2: -1})
-    assert lp_add(ONE_PLUS_Q, 0) == ONE_PLUS_Q
-    assert lp_add(3, LaurentPolynomial({2: 1})) == LaurentPolynomial({0: 3, 2: 1})
+    assert ONE_PLUS_Q * one_minus_q == LaurentPolynomial({0: 1, 2: -1})
+    assert ONE_PLUS_Q + 0 == ONE_PLUS_Q
+    assert 3 + LaurentPolynomial({2: 1}) == LaurentPolynomial({0: 3, 2: 1})
 
 
 def test_lp_arithmetic_and_canonical_form():
@@ -74,9 +71,16 @@ def test_lp_is_immutable():
 
 def test_lp_rejects_foreign_types():
     with pytest.raises(TypeError):
-        lp_add(ONE_PLUS_Q, "q")
+        ONE_PLUS_Q + "q"
     with pytest.raises(TypeError):
-        lp_shift(1.5, 1)
+        "q" + ONE_PLUS_Q
+    with pytest.raises(TypeError):
+        ONE_PLUS_Q * 1.5
+    with pytest.raises(TypeError):
+        1.5 * ONE_PLUS_Q
+    with pytest.raises(TypeError):
+        ONE_PLUS_Q - "q"
+    assert ONE_PLUS_Q != "1+q"
 
 
 def test_gaussian_binomial_examples():
