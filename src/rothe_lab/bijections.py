@@ -10,10 +10,9 @@ least ``p``, sorting it into one of two branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import InvariantViolationError, NoMatchError, NotInDomainError
-from .words import Grading, Word, b_count, prefix_weights
+from .words import Grading, Word, _prefix_length, _prefix_weights, b_count, prefix_weights
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,6 @@ class BranchB:
 Decomposition = BranchA | BranchB
 
 
-def _prefix_weights(w: Word, m: int) -> list[int]:
-    """:func:`~rothe_lab.words.prefix_weights` of an already checked word."""
-    return list(accumulate(m + 1 if letter == "b" else 1 for letter in w))
-
-
 def _match(wu: list[int], wv: list[int]) -> PrefixMatch | None:
     """Two-pointer merge over two strictly increasing prefix-weight lists."""
     i = j = 0
@@ -81,16 +75,6 @@ def equal_weight_prefixes(u: Word, v: Word, g: Grading) -> PrefixMatch:
             f"words {u!r} and {v!r} have no nonempty prefixes of equal weight (m={g.m})"
         )
     return match
-
-
-def _prefix_length(w: Word, r: int, m: int) -> int | None:
-    """Length of the prefix of weight exactly ``r`` of an already checked
-    word, or ``None``."""
-    acc = cut = 0
-    while acc < r and cut < len(w):
-        acc += m + 1 if w[cut] == "b" else 1
-        cut += 1
-    return cut if acc == r else None
 
 
 def _split_at_weight(w: Word, r: int, m: int) -> tuple[Word, Word]:

@@ -30,8 +30,6 @@ def _as_fraction(value: RationalLike, name: str = "value") -> Fraction:
 
 
 def _json_value(value):
-    if isinstance(value, bool):
-        return value
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
@@ -63,12 +61,10 @@ class VerificationReport:
         return self.status == "pass"
 
     @classmethod
-    def from_sides(cls, identity, params, lhs, rhs, counterexample=None):
+    def from_sides(cls, identity, params, lhs, rhs):
         if lhs == rhs:
             return cls(identity, dict(params), lhs, rhs, "pass")
-        if counterexample is None:
-            counterexample = dict(params)
-        return cls(identity, dict(params), lhs, rhs, "fail", dict(counterexample))
+        return cls(identity, dict(params), lhs, rhs, "fail", dict(params))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -197,6 +193,21 @@ def check_rothe2(
     )
 
 
+def _convolution(
+    a: RationalLike, b: RationalLike, z: RationalLike, n: int, lower: int = 0
+) -> Fraction:
+    """The binomial convolution
+    ``S_l(a, b; z, n) = sum_{k=0}^{n} C(a - k*z, k - l) * C(b + k*z, n - k)``
+    with ``l = lower``; the sum is empty, hence zero, for ``n < 0``."""
+    return sum(
+        (
+            gen_binomial(a - k * z, k - lower) * gen_binomial(b + k * z, n - k)
+            for k in range(n + 1)
+        ),
+        Fraction(0),
+    )
+
+
 def check_gould(
     x: RationalLike,
     y: RationalLike,
@@ -205,38 +216,27 @@ def check_gould(
     n: int,
 ) -> VerificationReport:
     """Shift invariance of the plain binomial convolution:
-    ``sum_k C(x - k*z, k) * C(y + k*z, n - k)`` is unchanged by
-    ``x -> x + eps``, ``y -> y - eps``."""
+    ``S_0(x, y; z, n) = sum_k C(x - k*z, k) * C(y + k*z, n - k)`` is unchanged
+    by ``x -> x + eps``, ``y -> y - eps``."""
     _require_n(n)
     x, y = _as_fraction(x, "x"), _as_fraction(y, "y")
     z, eps = _as_fraction(z, "z"), _as_fraction(eps, "eps")
-    lhs = sum(
-        gen_binomial(x - k * z, k) * gen_binomial(y + k * z, n - k)
-        for k in range(n + 1)
-    )
-    rhs = sum(
-        gen_binomial(x + eps - k * z, k) * gen_binomial(y - eps + k * z, n - k)
-        for k in range(n + 1)
-    )
+    lhs = _convolution(x, y, z, n)
+    rhs = _convolution(x + eps, y - eps, z, n)
     return VerificationReport.from_sides(
         "gould", {"x": x, "y": y, "z": z, "eps": eps, "n": n}, lhs, rhs
     )
 
 
 def check_pqkm(p: int, q: int, m: int, n: int) -> VerificationReport:
-    """Integer shift identity
+    """Gould's identity at ``(x, y, z, eps) = (p, q, m, 1)`` on integers:
     ``sum_k C(p - k*m, k) * C(q + k*m, n - k)
-      == sum_k C(p + 1 - k*m, k) * C(q - 1 + k*m, n - k)``."""
-    lhs = sum(
-        gen_binomial(p - k * m, k) * gen_binomial(q + k * m, n - k)
-        for k in range(max(n + 1, 0))
-    )
-    rhs = sum(
-        gen_binomial(p + 1 - k * m, k) * gen_binomial(q - 1 + k * m, n - k)
-        for k in range(max(n + 1, 0))
-    )
+      == sum_k C(p + 1 - k*m, k) * C(q - 1 + k*m, n - k)``.
+    Both sums are empty, so both sides are 0, at ``n < 0``."""
+    lhs = _convolution(p, q, m, n)
+    rhs = _convolution(p + 1, q - 1, m, n)
     return VerificationReport.from_sides(
-        "pqkm", {"p": p, "q": q, "m": m, "n": n}, Fraction(lhs), Fraction(rhs)
+        "pqkm", {"p": p, "q": q, "m": m, "n": n}, lhs, rhs
     )
 
 
@@ -247,19 +247,17 @@ def shift_domain(p: int, q: int, m: int, n: int) -> bool:
 
 def check_kmx(p: int, q: int, m: int, n: int) -> VerificationReport:
     """Two-branch counting identity
-    ``sum_k [C(p - k*m, k) * C(q + k*m, n - k)
-             + sum_{j=1}^{m} C(p - k*m + j - 1, k - 1) * C(q + k*m - j, n - k)]
-      == C(p + q, n)``."""
+    ``S_0(p, q; m, n) + sum_{j=1}^{m} S_1(p + j - 1, q - j; m, n) == C(p + q, n)``,
+    where ``S_1(a, b; m, n) = sum_k C(a - k*m, k - 1) * C(b + k*m, n - k)`` is
+    the lowered convolution. Requires ``n, m >= 0``, ``p >= m*n`` and ``q >= 1``."""
     _require_n(n)
+    if m < 0:
+        raise ParameterError(f"m must be >= 0, got {m}")
     if not shift_domain(p, q, m, n):
         raise ParameterError(f"need p >= m*n and q >= 1, got p={p}, q={q}, m={m}, n={n}")
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += gen_binomial(p - k * m, k) * gen_binomial(q + k * m, n - k)
-        for j in range(1, m + 1):
-            lhs += gen_binomial(p - k * m + j - 1, k - 1) * gen_binomial(
-                q + k * m - j, n - k
-            )
+    lhs = _convolution(p, q, m, n)
+    for j in range(1, m + 1):
+        lhs += _convolution(p + j - 1, q - j, m, n, lower=1)
     rhs = gen_binomial(p + q, n)
     return VerificationReport.from_sides(
         "kmx", {"p": p, "q": q, "m": m, "n": n}, lhs, rhs
@@ -271,24 +269,16 @@ def _kmpink_domain(p: int, q: int, m: int, n: int, j: int) -> bool:
 
 
 def check_kmpink(p: int, q: int, m: int, n: int, j: int) -> VerificationReport:
-    """Inner-shift identity, for ``1 <= j <= m``:
-    ``sum_k C(p - k*m + j - 1, k - 1) * C(q + k*m - j, n - k)
-      == sum_k C(p - k*m - 1, k - 1) * C(q + k*m, n - k)``."""
+    """Inner-shift identity of the lowered convolution
+    ``S_1(a, b; m, n) = sum_k C(a - k*m, k - 1) * C(b + k*m, n - k)``, for
+    ``1 <= j <= m``: ``S_1(p + j - 1, q - j; m, n) == S_1(p - 1, q; m, n)``.
+    Both sums are empty, so both sides are 0, at ``n < 0``."""
     if not _kmpink_domain(p, q, m, n, j):
         raise ParameterError(f"j must lie in [1, m] = [1, {m}], got {j}")
-    lhs = sum(
-        gen_binomial(p - k * m + j - 1, k - 1) * gen_binomial(q + k * m - j, n - k)
-        for k in range(max(n + 1, 0))
-    )
-    rhs = sum(
-        gen_binomial(p - k * m - 1, k - 1) * gen_binomial(q + k * m, n - k)
-        for k in range(max(n + 1, 0))
-    )
+    lhs = _convolution(p + j - 1, q - j, m, n, lower=1)
+    rhs = _convolution(p - 1, q, m, n, lower=1)
     return VerificationReport.from_sides(
-        "kmpink",
-        {"p": p, "q": q, "m": m, "n": n, "j": j},
-        Fraction(lhs),
-        Fraction(rhs),
+        "kmpink", {"p": p, "q": q, "m": m, "n": n, "j": j}, lhs, rhs
     )
 
 
@@ -359,26 +349,14 @@ def grid_prove(
         raise ParameterError(
             f"{identity} needs {len(variables)} offsets {variables}, got {len(offsets)}"
         )
-    count = 0
-    last = None
-    for point in itertools.product(*(range(off, off + n + 1) for off in offsets)):
+    for count, point in enumerate(
+        itertools.product(*(range(off, off + n + 1) for off in offsets)), 1
+    ):
         report = record.check(n=n, **dict(zip(variables, point)))
-        count += 1
         if not report.passed:
-            return VerificationReport(
-                identity,
-                {"n": n, "offsets": list(offsets), "grid_points": count},
-                report.lhs,
-                report.rhs,
-                "fail",
-                dict(zip(variables, point)),
-            )
-        last = report
-    assert last is not None
+            break
+    params = {"n": n, "offsets": list(offsets), "grid_points": count}
+    counterexample = None if report.passed else dict(zip(variables, point))
     return VerificationReport(
-        identity,
-        {"n": n, "offsets": list(offsets), "grid_points": count},
-        last.lhs,
-        last.rhs,
-        "pass",
+        identity, params, report.lhs, report.rhs, report.status, counterexample
     )

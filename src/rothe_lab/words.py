@@ -55,6 +55,20 @@ def weight(w: Word, g: Grading) -> int:
     return len(w) + g.m * w.count("b")
 
 
+def _prefix_weights(w: Word, m: int) -> list[int]:
+    """:func:`prefix_weights` of an already checked word."""
+    return list(itertools.accumulate(m + 1 if letter == "b" else 1 for letter in w))
+
+
+def _prefix_length(w: Word, r: int, m: int) -> int | None:
+    """:func:`prefix_length_of_weight` of an already checked word."""
+    acc = cut = 0
+    while acc < r and cut < len(w):
+        acc += m + 1 if w[cut] == "b" else 1
+        cut += 1
+    return cut if acc == r else None
+
+
 def prefix_weights(w: Word, g: Grading) -> list[int]:
     """Weights of the nonempty prefixes of ``w``, shortest first.
 
@@ -62,12 +76,7 @@ def prefix_weights(w: Word, g: Grading) -> list[int]:
     its last entry (when ``w`` is nonempty) equals ``weight(w, g)``.
     """
     _check_word(w)
-    out: list[int] = []
-    acc = 0
-    for letter in w:
-        acc += g.letter_weight(letter)
-        out.append(acc)
-    return out
+    return _prefix_weights(w, g.m)
 
 
 def prefix_length_of_weight(w: Word, r: int, g: Grading) -> int | None:
@@ -77,16 +86,7 @@ def prefix_length_of_weight(w: Word, r: int, g: Grading) -> int | None:
     the prefix is unique when it exists.
     """
     _check_word(w)
-    if r == 0:
-        return 0
-    acc = 0
-    for i, letter in enumerate(w):
-        acc += g.letter_weight(letter)
-        if acc == r:
-            return i + 1
-        if acc > r:
-            return None
-    return None
+    return _prefix_length(w, r, g.m)
 
 
 def has_prefix_of_weight(w: Word, r: int, g: Grading) -> bool:

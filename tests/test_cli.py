@@ -556,6 +556,11 @@ def test_verify_exit_code_edges(capsys):
                          "--x", "3", "--y", "1", "--m", "-1", "--n", "1")
     assert (code, out) == (2, "")
     assert "m must be >= 0" in err
+    # kmx makes no claim at m < 0, although p >= m*n and q >= 1 hold there
+    code, out, err = run(capsys, "verify", "--identity", "kmx",
+                         "--p", "3", "--q", "1", "--m", "-1", "--n", "1")
+    assert (code, out) == (2, "")
+    assert "m must be >= 0, got -1" in err
     # pqkm has no precondition: at negative n both sums are empty
     code, out, _ = run(capsys, "verify", "--identity", "pqkm",
                        "--p", "2", "--q", "1", "--m", "1", "--n", "-2")

@@ -23,6 +23,7 @@ from rothe_lab import (
     rothe_coeff,
 )
 from rothe_lab import identities, qseries
+from rothe_lab.identities import shift_domain
 
 rationals_st = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -141,6 +142,9 @@ def test_check_kmx_preconditions():
         check_kmx(1, 1, 2, 1)  # p < m*n
     with pytest.raises(ParameterError):
         check_kmx(3, 0, 1, 1)  # q < 1
+    # the identity makes no claim at m < 0, even where p >= m*n and q >= 1
+    with pytest.raises(ParameterError, match="m must be >= 0, got -1"):
+        check_kmx(3, 1, -1, 1)
 
 
 def test_check_kmpink_examples():
@@ -259,6 +263,116 @@ def test_fractional_report_serialization():
     payload = rep.to_json_dict()
     assert payload["params"]["x"] == "1/2"
     assert payload["lhs"] == str(rep.lhs)
+
+
+# The four shift identities as the paper writes them, one hand-written sum
+# per side, kept apart from the shared convolution in the library.
+
+
+def oracle_gould(x, y, z, eps, n):
+    lhs = sum(binom(x - k * z, k) * binom(y + k * z, n - k) for k in range(n + 1))
+    rhs = sum(
+        binom(x + eps - k * z, k) * binom(y - eps + k * z, n - k) for k in range(n + 1)
+    )
+    return lhs, rhs
+
+
+def oracle_pqkm(p, q, m, n):
+    lhs = sum(
+        (binom(p - k * m, k) * binom(q + k * m, n - k) for k in range(n + 1)),
+        Fraction(0),
+    )
+    rhs = sum(
+        (binom(p + 1 - k * m, k) * binom(q - 1 + k * m, n - k) for k in range(n + 1)),
+        Fraction(0),
+    )
+    return lhs, rhs
+
+
+def oracle_kmx(p, q, m, n):
+    lhs = Fraction(0)
+    for k in range(n + 1):
+        lhs += binom(p - k * m, k) * binom(q + k * m, n - k)
+        for j in range(1, m + 1):
+            lhs += binom(p - k * m + j - 1, k - 1) * binom(q + k * m - j, n - k)
+    return lhs, binom(p + q, n)
+
+
+def oracle_kmpink(p, q, m, n, j):
+    lhs = sum(
+        (binom(p - k * m + j - 1, k - 1) * binom(q + k * m - j, n - k) for k in range(n + 1)),
+        Fraction(0),
+    )
+    rhs = sum(
+        (binom(p - k * m - 1, k - 1) * binom(q + k * m, n - k) for k in range(n + 1)),
+        Fraction(0),
+    )
+    return lhs, rhs
+
+
+def oracle_points():
+    """(checker, oracle, identity, params) over small integer tuples with
+    n in -2..6 where the checker allows it, m in 0..3 and j in 1..m, plus a
+    few rational gould points."""
+    for m, n in itertools.product(range(4), range(-2, 7)):
+        for p, q in itertools.product(range(-2, 5), range(-1, 4)):
+            params = {"p": p, "q": q, "m": m, "n": n}
+            yield check_pqkm, oracle_pqkm, "pqkm", params
+            if n >= 0 and shift_domain(p, q, m, n):
+                yield check_kmx, oracle_kmx, "kmx", params
+            for j in range(1, m + 1):
+                yield check_kmpink, oracle_kmpink, "kmpink", {**params, "j": j}
+    for x, y, z, eps, n in itertools.product(
+        range(-1, 3), range(-1, 3), range(4), range(-1, 2), range(7)
+    ):
+        params = {"x": x, "y": y, "z": z, "eps": eps, "n": n}
+        yield check_gould, oracle_gould, "gould", params
+    for x, y, z, eps, n in [
+        (Fraction(1, 2), 3, Fraction(2, 3), Fraction(-3, 4), 4),
+        (Fraction(-5, 3), Fraction(7, 2), Fraction(1, 4), Fraction(2, 5), 5),
+        (0, Fraction(-1, 3), Fraction(-3, 2), Fraction(5, 6), 3),
+        (Fraction(9, 4), Fraction(-2, 7), 1, -2, 6),
+    ]:
+        params = {"x": x, "y": y, "z": z, "eps": eps, "n": n}
+        yield check_gould, oracle_gould, "gould", params
+
+
+def test_shift_checkers_match_the_hand_written_sums():
+    for checker, oracle, identity, params in oracle_points():
+        lhs, rhs = oracle(**params)
+        rep = checker(**params)
+        assert (rep.lhs, rep.rhs, rep.status) == (lhs, rhs, "pass"), (identity, params)
+        as_json = {
+            # gould's rational parameters become Fractions; the rest stay ints
+            k: str(v) if identity == "gould" and k != "n" else v
+            for k, v in params.items()
+        }
+        assert rep.to_json_dict() == {
+            "identity": identity,
+            "params": as_json,
+            "lhs": str(lhs),
+            "rhs": str(rhs),
+            "status": "pass",
+        }
+
+
+def test_off_by_one_convolution_is_caught(monkeypatch):
+    # Both sides of gould and pqkm go through the shared convolution, so a
+    # fault in it can shift both sides alike and still agree; kmx's right
+    # side is the closed form C(p + q, n), which the fault cannot reach.
+    convolution = identities._convolution
+
+    def lowered(a, b, z, n, lower=0):
+        return convolution(a, b, z, n, lower + 1)
+
+    monkeypatch.setattr(identities, "_convolution", lowered)
+    reports = [
+        check_kmx(p, q, m, n)
+        for m, n in itertools.product(range(3), range(3))
+        for p in range(m * n, m * n + 3)
+        for q in range(1, 3)
+    ]
+    assert any(not rep.passed for rep in reports)
 
 
 def merged_registry():

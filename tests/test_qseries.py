@@ -17,6 +17,7 @@ from rothe_lab import (
     inversions,
     qweighted_bijection_check,
 )
+from rothe_lab import qseries
 from rothe_lab.qseries import qchu_m1_term, qchu_term
 
 ONE_PLUS_Q = LaurentPolynomial({0: 1, 1: 1})
@@ -250,6 +251,19 @@ def test_qweighted_parameter_errors():
         qweighted_bijection_check(0, 1, 1, 1)
     with pytest.raises(ParameterError):
         qweighted_bijection_check(2, 0, 1, 1)
+
+
+def test_flipped_qchu_exponent_is_caught(monkeypatch):
+    # qchu_term(x, y, m, n, k) ends in a shift by k*(k*m + k + y - n); the
+    # mutant shifts by the negated exponent instead
+    def flipped(x, y, m, n, k):
+        return qchu_term(x, y, m, n, k).shift(-2 * k * (k * m + k + y - n))
+
+    monkeypatch.setattr(qseries, "qchu_term", flipped)
+    tuples = [(x, y, m, n) for m in range(2) for n in range(3)
+              for x in range(m * n, m * n + 2) for y in range(1, 3)]
+    assert any(not check_qchu(*t).passed for t in tuples)
+    assert any(not qweighted_bijection_check(*t).passed for t in tuples)
 
 
 def test_concatenation_exponent_rule():
