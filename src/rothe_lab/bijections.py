@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, NoMatchError, NotInDomainError
-from .words import Grading, Word, _prefix_length, _prefix_weights, b_count, prefix_weights
+from .words import (
+    Grading, Word, _prefix_at_least, _prefix_length, _prefix_weights, b_count, prefix_weights,
+)
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,19 @@ def _split_at_weight(w: Word, r: int, m: int) -> tuple[Word, Word]:
     return w[:cut], w[cut:]
 
 
+def _check_domain(p: int, q: int, m: int, n: int) -> None:
+    """The parameter checks of both bijections on a class with ``n`` letters b."""
+    if p < m * n:
+        raise NotInDomainError(f"need p >= m*n, got p={p}, m={m}, n={n}")
+    if q < 1:
+        raise NotInDomainError(f"need q >= 1, got q={q}")
+
+
 def _check_shift_params(w: Word, p: int, q: int, g: Grading) -> None:
     """The domain checks shared by both bijections; the only place where
     their input word is validated."""
     n = b_count(w)
-    if p < g.m * n:
-        raise NotInDomainError(f"need p >= m*n, got p={p}, m={g.m}, n={n}")
-    if q < 1:
-        raise NotInDomainError(f"need q >= 1, got q={q}")
+    _check_domain(p, q, g.m, n)
     total = p + q + g.m * n
     if len(w) + g.m * n != total:
         raise NotInDomainError(
@@ -99,13 +106,19 @@ def _check_shift_params(w: Word, p: int, q: int, g: Grading) -> None:
         )
 
 
-def _shift_match(u: Word, v: Word, m: int) -> PrefixMatch:
-    """:func:`equal_weight_prefixes` of two already checked words, inside a
-    bijection whose domain checks guarantee that a match exists."""
-    match = _match(_prefix_weights(u, m), _prefix_weights(v, m))
+def _shift(u: Word, v: Word, m: int) -> Word:
+    """The shift of :func:`theorem1_forward` on the split ``u . v`` of an
+    already checked word whose domain checks guarantee that ``y`` exists."""
+    # prefixes of rev(u + 'a') are a leading 'a' plus suffixes of u, so a
+    # weight-t prefix encodes a suffix of weight t - 1, the empty one included
+    match = _match(_prefix_weights(v, m), _prefix_weights("a" + u[::-1], m))
     if match is None:
         raise AssertionError("equal-weight prefixes must exist once the domain checks pass")
-    return match
+    y_len = match.u_prefix_len
+    x_len = match.v_prefix_len - 1
+    y, v_rest = v[:y_len], v[y_len:]
+    u_rest, x = u[: len(u) - x_len], u[len(u) - x_len :]
+    return u_rest + y[::-1] + x[::-1] + v_rest
 
 
 def theorem1_forward(w: Word, p: int, q: int, g: Grading) -> Word:
@@ -118,15 +131,7 @@ def theorem1_forward(w: Word, p: int, q: int, g: Grading) -> Word:
     weight and b-count are preserved.
     """
     _check_shift_params(w, p, q, g)
-    u, v = _split_at_weight(w, p, g.m)
-    # prefixes of rev(u + 'a') are a leading 'a' plus suffixes of u, so a
-    # weight-t prefix encodes a suffix of weight t - 1, the empty one included
-    match = _shift_match(v, "a" + u[::-1], g.m)
-    y_len = match.u_prefix_len
-    x_len = match.v_prefix_len - 1
-    y, v_rest = v[:y_len], v[y_len:]
-    u_rest, x = u[: len(u) - x_len], u[len(u) - x_len :]
-    return u_rest + y[::-1] + x[::-1] + v_rest
+    return _shift(*_split_at_weight(w, p, g.m), g.m)
 
 
 def theorem1_inverse(w: Word, p: int, q: int, g: Grading) -> Word:
@@ -135,17 +140,14 @@ def theorem1_inverse(w: Word, p: int, q: int, g: Grading) -> Word:
     Split ``w = U . V`` at the prefix ``U`` of weight ``p + 1``; take the
     nonempty suffix ``s`` of ``U`` and the prefix ``t`` of ``V`` (possibly
     empty) with ``weight(s) = weight(t) + 1`` and ``weight(s)`` minimal;
-    return ``U' . rev(t) . rev(s) . V'``.
+    return ``U' . rev(t) . rev(s) . V'``. This is the forward shift
+    conjugated by reversal: ``rev(w) = rev(V) . rev(U)`` splits at weight
+    ``q - 1 + m n``, where the forward shift finds ``x = rev(t)`` and
+    ``y = rev(s)``.
     """
     _check_shift_params(w, p, q, g)
     big_u, big_v = _split_at_weight(w, p + 1, g.m)
-    # symmetric trick: prefixes of 'a' + V encode prefixes of V shifted up by 1
-    match = _shift_match(big_u[::-1], "a" + big_v, g.m)
-    s_len = match.u_prefix_len
-    t_len = match.v_prefix_len - 1
-    u_rest, s = big_u[: len(big_u) - s_len], big_u[len(big_u) - s_len :]
-    t, v_rest = big_v[:t_len], big_v[t_len:]
-    return u_rest + t[::-1] + s[::-1] + v_rest
+    return _shift(big_v[::-1], big_u[::-1], g.m)[::-1]
 
 
 def factorize_at_least(w: Word, p: int, g: Grading) -> tuple[Word, Word]:
@@ -156,14 +158,11 @@ def factorize_at_least(w: Word, p: int, g: Grading) -> tuple[Word, Word]:
     """
     if p < 0:
         raise NotInDomainError(f"target weight must be >= 0, got {p}")
-    if p == 0:
-        return "", w
-    acc = 0
-    for i, letter in enumerate(w):
-        acc += g.letter_weight(letter)
-        if acc >= p:
-            return w[: i + 1], w[i + 1 :]
-    raise NotInDomainError(f"word {w!r} has weight {acc} < {p}")
+    b_count(w)  # validates every letter, not only those the scan reads
+    cut, acc = _prefix_at_least(w, p, g.m)
+    if acc < p:
+        raise NotInDomainError(f"word {w!r} has weight {acc} < {p}")
+    return w[:cut], w[cut:]
 
 
 def decompose(w: Word, p: int, q: int, g: Grading) -> Decomposition:
@@ -174,14 +173,13 @@ def decompose(w: Word, p: int, q: int, g: Grading) -> Decomposition:
     final ``b`` of ``u`` and returns the two remaining pieces (branch B).
     """
     _check_shift_params(w, p, q, g)
-    u, v = factorize_at_least(w, p, g)
-    k = u.count("b")
-    overshoot = len(u) + g.m * k - p
-    if overshoot == 0:
+    cut, acc = _prefix_at_least(w, p, g.m)
+    if acc == p:
         return BranchA(w)
     # the letter that crossed the target weighs more than 1, so it is a 'b'
-    assert u.endswith("b"), "overshoot requires a final b"
-    return BranchB(j=overshoot, k=k, u_prime=u[:-1], v=v)
+    assert w[cut - 1] == "b", "overshoot requires a final b"
+    u_prime = w[: cut - 1]
+    return BranchB(j=acc - p, k=u_prime.count("b") + 1, u_prime=u_prime, v=w[cut:])
 
 
 def _check_branch_b(d: BranchB, p: int, q: int, g: Grading) -> None:

@@ -213,101 +213,26 @@ def cmd_enumerate(args) -> int:
 # bijection
 
 
-def _emit_pair(w: str, out: str, args, fmt: str) -> None:
-    if fmt == "json":
+def _theorem1_line(w: str, out: str, args, listing: bool) -> str:
+    if args.format == "json":
         params = {"p": args.p, "q": args.q, "m": args.m, "n": args.n}
-        print(json.dumps({"input": w, "output": out, **params}))
-    else:
-        print(f"{_fmt_word(w)} → {_fmt_word(out)}")
+        return json.dumps({"input": w, "output": out, **params})
+    return f"{_fmt_word(w)} → {_fmt_word(out)}"
 
 
-def _bijection_theorem1(args, g: Grading) -> int:
-    forward = bijections.theorem1_inverse if args.inverse else bijections.theorem1_forward
-    backward = bijections.theorem1_forward if args.inverse else bijections.theorem1_inverse
-    if args.word is not None:
-        w = args.word
-        out = forward(w, args.p, args.q, g)
-        _emit_pair(w, out, args, args.format)
-        return 0
-
-    total = args.p + args.q + g.m * args.n
-    domain_r = args.p + 1 if args.inverse else args.p
-    codomain_r = args.p if args.inverse else args.p + 1
-    everything = words.enumerate_gamma(total, args.n, g)
-    domain = [w for w in everything if words.has_prefix_of_weight(w, domain_r, g)]
-    codomain = {w for w in everything if words.has_prefix_of_weight(w, codomain_r, g)}
-    problems: list[str] = []
-    outputs = []
-    for w in domain:
-        out = forward(w, args.p, args.q, g)
-        outputs.append(out)
-        _emit_pair(w, out, args, args.format)
-        if out not in codomain:
-            problems.append(f"{w} maps to {out}, outside the target class")
-        elif backward(out, args.p, args.q, g) != w:
-            problems.append(f"round trip failed for {w}")
-    if len(set(outputs)) != len(outputs):
-        problems.append("outputs are not pairwise distinct")
-    if len(domain) != len(codomain):
-        problems.append(f"class sizes differ: {len(domain)} vs {len(codomain)}")
-    return _bijection_summary(problems, len(domain), args.format)
-
-
-def _bijection_summary(problems: list[str], count: int, fmt: str) -> int:
-    if fmt == "json":
-        record: dict = {"status": "ok" if not problems else "failed", "count": count}
-        if problems:
-            record["reason"] = problems[0]
-        print(json.dumps(record))
-    else:
-        if problems:
-            print(f"BIJECTION FAILED: {problems[0]}")
+def _factorize_line(w: str, d: bijections.Decomposition, args, listing: bool) -> str:
+    if args.format == "json":
+        record: dict = {"input": w, "p": args.p, "q": args.q, "m": args.m, "n": args.n}
+        if isinstance(d, bijections.BranchA):
+            record["branch"] = "A"
         else:
-            print(f"BIJECTION OK ({count} words)")
-    return 0 if not problems else 1
-
-
-def _describe_decomposition(d: bijections.Decomposition) -> str:
+            record.update(branch="B", j=d.j, k=d.k, u_prime=d.u_prime, v=d.v)
+        return json.dumps(record)
     if isinstance(d, bijections.BranchA):
-        return f"BranchA w={_fmt_word(d.w)}"
-    return f"BranchB j={d.j} k={d.k} u'={_fmt_word(d.u_prime)} v={_fmt_word(d.v)}"
-
-
-def _decomposition_json(w: str, d: bijections.Decomposition, args) -> dict:
-    record: dict = {"input": w, "p": args.p, "q": args.q, "m": args.m, "n": args.n}
-    if isinstance(d, bijections.BranchA):
-        record["branch"] = "A"
+        text = f"BranchA w={_fmt_word(d.w)}"
     else:
-        record.update(branch="B", j=d.j, k=d.k, u_prime=d.u_prime, v=d.v)
-    return record
-
-
-def _bijection_factorize(args, g: Grading) -> int:
-    if args.word is not None:
-        w = args.word
-        d = bijections.decompose(w, args.p, args.q, g)
-        if args.format == "json":
-            print(json.dumps(_decomposition_json(w, d, args)))
-        else:
-            print(_describe_decomposition(d))
-        return 0
-
-    total = args.p + args.q + g.m * args.n
-    everything = words.enumerate_gamma(total, args.n, g)
-    problems: list[str] = []
-    seen = set()
-    for w in everything:
-        d = bijections.decompose(w, args.p, args.q, g)
-        if args.format == "json":
-            print(json.dumps(_decomposition_json(w, d, args)))
-        else:
-            print(f"{_fmt_word(w)}: {_describe_decomposition(d)}")
-        if d in seen:
-            problems.append(f"duplicate decomposition for {w}")
-        seen.add(d)
-        if bijections.compose(d, args.p, args.q, g) != w:
-            problems.append(f"round trip failed for {w}")
-    return _bijection_summary(problems, len(everything), args.format)
+        text = f"BranchB j={d.j} k={d.k} u'={_fmt_word(d.u_prime)} v={_fmt_word(d.v)}"
+    return f"{_fmt_word(w)}: {text}" if listing else text
 
 
 def cmd_bijection(args) -> int:
@@ -323,9 +248,49 @@ def cmd_bijection(args) -> int:
             f"word {args.word!r} has {words.b_count(args.word)} letters 'b', "
             f"expected n={args.n}"
         )
+    if args.kind == "factorize":
+        apply, undo, line = bijections.decompose, bijections.compose, _factorize_line
+    else:
+        apply, undo = bijections.theorem1_forward, bijections.theorem1_inverse
+        if args.inverse:
+            apply, undo = undo, apply
+        line = _theorem1_line
+    if args.word is not None:
+        print(line(args.word, apply(args.word, args.p, args.q, g), args, False))
+        return 0
+
+    bijections._check_domain(args.p, args.q, g.m, args.n)
+    domain = words.enumerate_gamma(args.p + args.q + g.m * args.n, args.n, g)
+    codomain = None
     if args.kind == "theorem1":
-        return _bijection_theorem1(args, g)
-    return _bijection_factorize(args, g)
+        # the shift carries a weight-p prefix to a weight-(p + 1) prefix
+        r, target = (args.p + 1, args.p) if args.inverse else (args.p, args.p + 1)
+        codomain = {w for w in domain if words.has_prefix_of_weight(w, target, g)}
+        domain = [w for w in domain if words.has_prefix_of_weight(w, r, g)]
+    problems: list[str] = []
+    images = set()
+    for w in domain:
+        image = apply(w, args.p, args.q, g)
+        print(line(w, image, args, True))
+        if image in images:
+            problems.append(f"repeated image for {w}")
+        images.add(image)
+        if codomain is not None and image not in codomain:
+            problems.append(f"{w} maps to {image}, outside the target class")
+        elif undo(image, args.p, args.q, g) != w:
+            problems.append(f"round trip failed for {w}")
+    if codomain is not None and len(domain) != len(codomain):
+        problems.append(f"class sizes differ: {len(domain)} vs {len(codomain)}")
+    if args.format == "json":
+        record: dict = {"status": "failed" if problems else "ok", "count": len(domain)}
+        if problems:
+            record["reason"] = problems[0]
+        print(json.dumps(record))
+    elif problems:
+        print(f"BIJECTION FAILED: {problems[0]}")
+    else:
+        print(f"BIJECTION OK ({len(domain)} words)")
+    return 1 if problems else 0
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,19 @@ def _prefix_weights(w: Word, m: int) -> list[int]:
     return list(itertools.accumulate(m + 1 if letter == "b" else 1 for letter in w))
 
 
-def _prefix_length(w: Word, r: int, m: int) -> int | None:
-    """:func:`prefix_length_of_weight` of an already checked word."""
+def _prefix_at_least(w: Word, r: int, m: int) -> tuple[int, int]:
+    """Length and weight of the shortest prefix of an already checked word
+    with weight at least ``r``; the whole word when no prefix reaches ``r``."""
     acc = cut = 0
     while acc < r and cut < len(w):
         acc += m + 1 if w[cut] == "b" else 1
         cut += 1
+    return cut, acc
+
+
+def _prefix_length(w: Word, r: int, m: int) -> int | None:
+    """:func:`prefix_length_of_weight` of an already checked word."""
+    cut, acc = _prefix_at_least(w, r, m)
     return cut if acc == r else None
 
 

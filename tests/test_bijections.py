@@ -23,12 +23,40 @@ from rothe_lab import (
     weight,
 )
 from rothe_lab import bijections
+from rothe_lab.words import prefix_length_of_weight
 
 
 def all_words(max_len):
     for length in range(max_len + 1):
         for letters in itertools.product("ab", repeat=length):
             yield "".join(letters)
+
+
+def reference_inverse(w, p, g):
+    """The inverse shift built directly: split ``w = U . V`` at weight
+    ``p + 1`` and match suffixes of ``U`` against prefixes of ``V``."""
+    cut = prefix_length_of_weight(w, p + 1, g)
+    big_u, big_v = w[:cut], w[cut:]
+    # prefixes of 'a' + V encode prefixes of V shifted up by 1
+    match = equal_weight_prefixes(big_u[::-1], "a" + big_v, g)
+    s_len = match.u_prefix_len
+    t_len = match.v_prefix_len - 1
+    u_rest, s = big_u[: len(big_u) - s_len], big_u[len(big_u) - s_len :]
+    t, v_rest = big_v[:t_len], big_v[t_len:]
+    return u_rest + t[::-1] + s[::-1] + v_rest
+
+
+def reference_factorize(w, p, g):
+    """Shortest prefix of weight at least ``p`` by a letter-by-letter sum;
+    ``None`` when the whole word weighs less than ``p``."""
+    if p == 0:
+        return "", w
+    acc = 0
+    for i, letter in enumerate(w):
+        acc += g.letter_weight(letter)
+        if acc >= p:
+            return w[: i + 1], w[i + 1 :]
+    return None
 
 
 def test_equal_weight_prefixes_examples():
@@ -129,6 +157,40 @@ def test_theorem1_roundtrip_invariant_ranges():
                         assert theorem1_forward(theorem1_inverse(w, p, q, g), p, q, g) == w
 
 
+def test_theorem1_inverse_matches_reference():
+    # every word of every in-domain class with m <= 3 and length <= 12
+    checked = 0
+    for m in range(4):
+        g = Grading(m)
+        for length in range(13):
+            for n in range(length + 1):
+                everything = enumerate_gamma(length + m * n, n, g)
+                for p in range(m * n, length):
+                    q = length - p
+                    for w in everything:
+                        if has_prefix_of_weight(w, p + 1, g):
+                            assert theorem1_inverse(w, p, q, g) == reference_inverse(w, p, g)
+                            checked += 1
+    assert checked > 0
+
+
+def test_prefix_scan_matches_reference():
+    for m in range(4):
+        g = Grading(m)
+        for w in all_words(10):
+            for p in range(weight(w, g) + 2):
+                expected = reference_factorize(w, p, g)
+                if expected is None:
+                    with pytest.raises(NotInDomainError):
+                        factorize_at_least(w, p, g)
+                    assert prefix_length_of_weight(w, p, g) is None
+                    continue
+                assert factorize_at_least(w, p, g) == expected
+                u = expected[0]
+                exact = len(u) if weight(u, g) == p else None
+                assert prefix_length_of_weight(w, p, g) == exact
+
+
 def test_factorize_at_least_examples():
     g = Grading(1)
     assert factorize_at_least("ba", 1, g) == ("b", "a")
@@ -157,6 +219,11 @@ def test_factorize_at_least_errors():
         factorize_at_least("ab", 5, Grading(1))
     with pytest.raises(NotInDomainError):
         factorize_at_least("ab", -1, Grading(1))
+    # the whole word is validated, not only the letters the scan reads
+    with pytest.raises(ValueError):
+        factorize_at_least("axyz", 1, Grading(1))
+    with pytest.raises(ValueError):
+        factorize_at_least("xa", 1, Grading(1))
 
 
 def test_decompose_examples():

@@ -185,6 +185,22 @@ def test_bijection_needs_word_or_all(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("kind, extra", [
+    ("theorem1", ()), ("theorem1", ("--inverse",)), ("factorize", ()),
+], ids=["theorem1", "theorem1-inverse", "factorize"])
+@pytest.mark.parametrize("p, q, m, n", [(1, 0, 1, 1), (0, 1, 1, 3), (1, 2, 2, 1), (0, 0, 0, 0)])
+def test_bijection_all_outside_domain_exit_2(capsys, kind, extra, fmt, p, q, m, n):
+    # --all takes the domain of --word: p >= m*n and q >= 1, with the same message
+    params = ("--p", str(p), "--q", str(q), "--m", str(m), "--n", str(n), "--format", fmt)
+    code, out, err = run(capsys, "bijection", kind, *params, *extra, "--all")
+    word_code, word_out, word_err = run(capsys, "bijection", kind, *params, *extra,
+                                        "--word", "b" * n)
+    assert (code, out) == (2, "")
+    assert (word_code, word_out) == (2, "")
+    assert err == word_err and err.startswith("error: need ")
+
+
 def test_bijection_detects_broken_map(capsys, monkeypatch):
     monkeypatch.setattr(cli.bijections, "theorem1_forward", lambda w, p, q, g: w)
     code, out, _ = run(
@@ -193,6 +209,30 @@ def test_bijection_detects_broken_map(capsys, monkeypatch):
     )
     assert code == 1
     assert "BIJECTION FAILED" in out
+
+    # a constant map repeats its image; the listing still covers every word
+    monkeypatch.setattr(cli.bijections, "theorem1_forward", lambda w, p, q, g: "bab")
+    code, out, _ = run(
+        capsys, "bijection", "theorem1",
+        "--p", "2", "--q", "1", "--m", "1", "--n", "2", "--all", "--format", "json",
+    )
+    assert code == 1
+    assert json_lines(out)[-1] == {
+        "status": "failed", "count": 2, "reason": "repeated image for bba",
+    }
+
+    # a broken compose fails the round trip of factorize
+    monkeypatch.setattr(cli.bijections, "compose", lambda d, p, q, g: "")
+    factorize = ("bijection", "factorize", "--p", "1", "--q", "1", "--m", "1", "--n", "1",
+                 "--all")
+    code, out, _ = run(capsys, *factorize)
+    assert code == 1
+    assert out.splitlines()[-1] == "BIJECTION FAILED: round trip failed for ab"
+    code, out, _ = run(capsys, *factorize, "--format", "json")
+    assert code == 1
+    assert json_lines(out)[-1] == {
+        "status": "failed", "count": 2, "reason": "round trip failed for ab",
+    }
 
 
 def test_verify_rothe2_single(capsys):
