@@ -115,25 +115,66 @@ class Identity:
         return None
 
 
+def _require_int(value, name: str) -> None:
+    if not isinstance(value, int):
+        raise ParameterError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _require_n(n: int) -> None:
+    _require_int(n, "n")
+    if n < 0:
+        raise ParameterError(f"n must be >= 0, got {n}")
+
+
+# The integer kernel. Rational arguments are written over their least common
+# denominator d (d = 1 at integer points): t = T / d, so t - i = (T - i*d) / d,
+# and a degree-k product of such factors is one integer over d**k. The checkers
+# build a Fraction only for each finished side.
+
+
+def _scaled(**values: RationalLike) -> tuple[int, list[int]]:
+    """The least common denominator ``d`` of ``values`` and each value times ``d``."""
+    for name, value in values.items():
+        if not isinstance(value, (int, Fraction)):
+            raise ParameterError(
+                f"{name} must be an int or Fraction, got {type(value).__name__}"
+            )
+    d = math.lcm(*(v.denominator for v in values.values()))
+    return d, [v.numerator * (d // v.denominator) for v in values.values()]
+
+
+def _falling(top: int, k: int, d: int) -> int:
+    """``top * (top - d) * ... * (top - (k-1)*d)``: ``k! d**k C(top / d, k)``
+    for ``k >= 0`` and ``d >= 1``."""
+    return math.prod(range(top, top - k * d, -d))
+
+
+def _side(numerator: int, degree: int, d: int) -> Fraction:
+    """The value ``numerator / (degree! * d**degree)`` of a degree-``degree``
+    product or convolution over the common denominator ``d``."""
+    return Fraction(numerator, math.factorial(degree) * d**degree)
+
+
+def _rothe_numerator(x: int, z: int, k: int, d: int) -> int:
+    """``k! d**k B_k(x / d, z / d)`` for ``k >= 0``."""
+    if k == 0:
+        return 1
+    return x * _falling(x - k * z - d, k - 1, d)
+
+
 def gen_binomial(t: RationalLike, k: int) -> Fraction:
     """Generalized binomial coefficient ``prod_{i=0}^{k-1} (t - i) / k!``.
 
-    Zero for ``k < 0``. For integer ``t`` the result is an integer-valued
-    Fraction (negative upper arguments included).
+    Zero for ``k < 0``. With ``t = T / d`` in lowest terms it is the integer
+    ``prod_{i=0}^{k-1} (T - i*d)`` over ``k! * d**k``; for integer ``t``
+    (``d = 1``) the result is an integer-valued Fraction (negative upper
+    arguments included).
     """
+    _require_int(k, "k")
     if k < 0:
         return Fraction(0)
-    t = _as_fraction(t, "t")
-    if t.denominator == 1:
-        ti = t.numerator
-        num = 1
-        for i in range(k):
-            num *= ti - i
-        return Fraction(num, math.factorial(k))
-    num = Fraction(1)
-    for i in range(k):
-        num *= t - i
-    return num / math.factorial(k)
+    d, (t,) = _scaled(t=t)
+    return _side(_falling(t, k, d), k, d)
 
 
 def rothe_coeff(x: RationalLike, z: RationalLike, k: int) -> Fraction:
@@ -143,24 +184,15 @@ def rothe_coeff(x: RationalLike, z: RationalLike, k: int) -> Fraction:
     for ``k >= 1``; zero for ``k < 0``. Agrees with
     ``x / (x - k*z) * gen_binomial(x - k*z, k)`` whenever ``x != k*z``, and
     satisfies ``B_k(x, z) * (x - k*z) == x * gen_binomial(x - k*z, k)``
-    identically.
+    identically. With ``x = X / d`` and ``z = Z / d`` over their common
+    denominator it is ``X * prod_{i=1}^{k-1} (X - k*Z - i*d)`` over
+    ``k! * d**k``.
     """
+    _require_int(k, "k")
     if k < 0:
         return Fraction(0)
-    if k == 0:
-        return Fraction(1)
-    x = _as_fraction(x, "x")
-    z = _as_fraction(z, "z")
-    base = x - k * z
-    prod = x
-    for i in range(1, k):
-        prod *= base - i
-    return prod / math.factorial(k)
-
-
-def _require_n(n: int) -> None:
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    d, (x, z) = _scaled(x=x, z=z)
+    return _side(_rothe_numerator(x, z, k, d), k, d)
 
 
 def check_rothe1(
@@ -170,10 +202,14 @@ def check_rothe1(
     ``sum_k B_k(x, z) * B_{n-k}(y, z) == B_n(x + y, z)``."""
     _require_n(n)
     x, y, z = _as_fraction(x, "x"), _as_fraction(y, "y"), _as_fraction(z, "z")
-    lhs = sum(rothe_coeff(x, z, k) * rothe_coeff(y, z, n - k) for k in range(n + 1))
-    rhs = rothe_coeff(x + y, z, n)
+    d, (X, Y, Z) = _scaled(x=x, y=y, z=z)
+    lhs = sum(
+        math.comb(n, k) * _rothe_numerator(X, Z, k, d) * _rothe_numerator(Y, Z, n - k, d)
+        for k in range(n + 1)
+    )
+    rhs = _rothe_numerator(X + Y, Z, n, d)
     return VerificationReport.from_sides(
-        "rothe1", {"x": x, "y": y, "z": z, "n": n}, lhs, rhs
+        "rothe1", {"x": x, "y": y, "z": z, "n": n}, _side(lhs, n, d), _side(rhs, n, d)
     )
 
 
@@ -184,12 +220,26 @@ def check_rothe2(
     (Rothe's identity in polynomial form; ``z = 0`` is Chu-Vandermonde)."""
     _require_n(n)
     x, y, z = _as_fraction(x, "x"), _as_fraction(y, "y"), _as_fraction(z, "z")
+    d, (X, Y, Z) = _scaled(x=x, y=y, z=z)
     lhs = sum(
-        rothe_coeff(x, z, k) * gen_binomial(y + k * z, n - k) for k in range(n + 1)
+        math.comb(n, k) * _rothe_numerator(X, Z, k, d) * _falling(Y + k * Z, n - k, d)
+        for k in range(n + 1)
     )
-    rhs = gen_binomial(x + y, n)
+    rhs = _falling(X + Y, n, d)
     return VerificationReport.from_sides(
-        "rothe2", {"x": x, "y": y, "z": z, "n": n}, lhs, rhs
+        "rothe2", {"x": x, "y": y, "z": z, "n": n}, _side(lhs, n, d), _side(rhs, n, d)
+    )
+
+
+def _convolution_numerator(a: int, b: int, z: int, n: int, lower: int, d: int) -> int:
+    """``(n-l)! * d**(n-l) * S_l(a / d, b / d; z / d, n)`` for ``0 <= l = lower <= n``:
+    ``sum_{k=l}^{n} C(n-l, k-l) * N_k * M_k``, where ``N_k`` and ``M_k`` are the
+    falling products of ``C(a - k*z, k - l)`` and ``C(b + k*z, n - k)``."""
+    return sum(
+        math.comb(n - lower, k - lower)
+        * _falling(a - k * z, k - lower, d)
+        * _falling(b + k * z, n - k, d)
+        for k in range(lower, n + 1)
     )
 
 
@@ -198,14 +248,15 @@ def _convolution(
 ) -> Fraction:
     """The binomial convolution
     ``S_l(a, b; z, n) = sum_{k=0}^{n} C(a - k*z, k - l) * C(b + k*z, n - k)``
-    with ``l = lower``; the sum is empty, hence zero, for ``n < 0``."""
-    return sum(
-        (
-            gen_binomial(a - k * z, k - lower) * gen_binomial(b + k * z, n - k)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    with ``l = lower >= 0``; every term vanishes, so the sum is zero, for
+    ``n < l``. Computed over the common denominator ``d`` of ``a, b, z`` as
+    one integer over ``(n-l)! * d**(n-l)``."""
+    _require_int(n, "n")
+    degree = n - lower
+    if degree < 0:
+        return Fraction(0)
+    d, (a, b, z) = _scaled(a=a, b=b, z=z)
+    return _side(_convolution_numerator(a, b, z, n, lower, d), degree, d)
 
 
 def check_gould(
@@ -221,10 +272,11 @@ def check_gould(
     _require_n(n)
     x, y = _as_fraction(x, "x"), _as_fraction(y, "y")
     z, eps = _as_fraction(z, "z"), _as_fraction(eps, "eps")
-    lhs = _convolution(x, y, z, n)
-    rhs = _convolution(x + eps, y - eps, z, n)
+    d, (X, Y, Z, E) = _scaled(x=x, y=y, z=z, eps=eps)
+    lhs = _convolution_numerator(X, Y, Z, n, 0, d)
+    rhs = _convolution_numerator(X + E, Y - E, Z, n, 0, d)
     return VerificationReport.from_sides(
-        "gould", {"x": x, "y": y, "z": z, "eps": eps, "n": n}, lhs, rhs
+        "gould", {"x": x, "y": y, "z": z, "eps": eps, "n": n}, _side(lhs, n, d), _side(rhs, n, d)
     )
 
 
@@ -282,43 +334,49 @@ def check_kmpink(p: int, q: int, m: int, n: int, j: int) -> VerificationReport:
     )
 
 
+def _side_cost(n: int) -> int:
+    """Work units of one degree-``n`` side: ``n + 1`` terms of ``O(n)`` big-int
+    products each, and at least one unit for the empty sums at ``n < 0``."""
+    return (max(n, 0) + 1) ** 2
+
+
 IDENTITIES: dict[str, Identity] = {
     "rothe1": Identity(
         check=check_rothe1,
         order=("x", "y", "z", "n"),
         rational=frozenset({"x", "y", "z"}),
-        cost=lambda x, y, z, n: n + 1,
+        cost=lambda x, y, z, n: _side_cost(n),
     ),
     "rothe2": Identity(
         check=check_rothe2,
         order=("x", "y", "z", "n"),
         rational=frozenset({"x", "y", "z"}),
-        cost=lambda x, y, z, n: n + 1,
+        cost=lambda x, y, z, n: _side_cost(n),
     ),
     "gould": Identity(
         check=check_gould,
         order=("x", "y", "z", "n", "eps"),
         rational=frozenset({"x", "y", "z", "eps"}),
         defaults={"eps": lambda x, y, z, n: range(0, n + 1)},
-        cost=lambda x, y, z, n, eps: 2 * (n + 1),
+        cost=lambda x, y, z, n, eps: 2 * _side_cost(n),
     ),
     "pqkm": Identity(
         check=check_pqkm,
         order=("p", "q", "m", "n"),
-        cost=lambda p, q, m, n: 2 * (n + 1),
+        cost=lambda p, q, m, n: 2 * _side_cost(n),
     ),
     "kmx": Identity(
         check=check_kmx,
         order=("p", "q", "m", "n"),
         domain=shift_domain,
-        cost=lambda p, q, m, n: (n + 1) * (m + 1),
+        cost=lambda p, q, m, n: (m + 1) * _side_cost(n),
     ),
     "kmpink": Identity(
         check=check_kmpink,
         order=("p", "q", "m", "n", "j"),
         defaults={"j": lambda p, q, m, n: range(1, m + 1)},
         domain=_kmpink_domain,
-        cost=lambda p, q, m, n, j: 2 * (n + 1),
+        cost=lambda p, q, m, n, j: 2 * _side_cost(n),
     ),
 }
 """The rational and integer identities by name; :mod:`rothe_lab.qseries`
@@ -349,6 +407,8 @@ def grid_prove(
         raise ParameterError(
             f"{identity} needs {len(variables)} offsets {variables}, got {len(offsets)}"
         )
+    for offset in offsets:
+        _require_int(offset, "each offset")
     for count, point in enumerate(
         itertools.product(*(range(off, off + n + 1) for off in offsets)), 1
     ):

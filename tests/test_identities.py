@@ -38,6 +38,110 @@ def binom(t, k):
     return out / math.factorial(k)
 
 
+# The Fraction-per-term bodies that the integer kernel replaced, kept as
+# reference implementations: same values, so the same reports byte for byte.
+
+
+def reference_gen_binomial(t, k):
+    if k < 0:
+        return Fraction(0)
+    t = Fraction(t)
+    if t.denominator == 1:
+        ti = t.numerator
+        num = 1
+        for i in range(k):
+            num *= ti - i
+        return Fraction(num, math.factorial(k))
+    num = Fraction(1)
+    for i in range(k):
+        num *= t - i
+    return num / math.factorial(k)
+
+
+def reference_rothe_coeff(x, z, k):
+    if k < 0:
+        return Fraction(0)
+    if k == 0:
+        return Fraction(1)
+    x, z = Fraction(x), Fraction(z)
+    base = x - k * z
+    prod = x
+    for i in range(1, k):
+        prod *= base - i
+    return prod / math.factorial(k)
+
+
+def reference_rothe1(x, y, z, n):
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    lhs = sum(
+        reference_rothe_coeff(x, z, k) * reference_rothe_coeff(y, z, n - k)
+        for k in range(n + 1)
+    )
+    rhs = reference_rothe_coeff(x + y, z, n)
+    return VerificationReport.from_sides("rothe1", {"x": x, "y": y, "z": z, "n": n}, lhs, rhs)
+
+
+def reference_rothe2(x, y, z, n):
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    lhs = sum(
+        reference_rothe_coeff(x, z, k) * reference_gen_binomial(y + k * z, n - k)
+        for k in range(n + 1)
+    )
+    rhs = reference_gen_binomial(x + y, n)
+    return VerificationReport.from_sides("rothe2", {"x": x, "y": y, "z": z, "n": n}, lhs, rhs)
+
+
+def same_report(report, reference):
+    assert repr(report) == repr(reference)
+    assert str(report) == str(reference)
+    assert report.to_json_dict() == reference.to_json_dict()
+
+
+# integers as ints and as Fractions, up to 10**12 in size, and fractions whose
+# denominators differ, so that the common denominator is a true lcm
+kernel_values_st = st.one_of(
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.integers(min_value=-10**12, max_value=10**12).map(Fraction),
+    st.integers(min_value=-6, max_value=6),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-10**12, max_value=10**12),
+        st.integers(min_value=1, max_value=60),
+    ),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+kernel_degree_st = st.integers(min_value=0, max_value=6)
+
+
+@given(kernel_values_st, st.integers(min_value=-1, max_value=8))
+def test_gen_binomial_matches_reference(t, k):
+    assert repr(gen_binomial(t, k)) == repr(reference_gen_binomial(t, k))
+
+
+@given(kernel_values_st, kernel_values_st, st.integers(min_value=-1, max_value=7))
+def test_rothe_coeff_matches_reference(x, z, k):
+    assert repr(rothe_coeff(x, z, k)) == repr(reference_rothe_coeff(x, z, k))
+
+
+@given(kernel_values_st, kernel_values_st, kernel_values_st, kernel_degree_st)
+def test_rothe_checkers_match_reference(x, y, z, n):
+    same_report(check_rothe1(x, y, z, n), reference_rothe1(x, y, z, n))
+    same_report(check_rothe2(x, y, z, n), reference_rothe2(x, y, z, n))
+
+
+@given(
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.integers(min_value=-50, max_value=50),
+    kernel_degree_st,
+)
+def test_int_and_fraction_arguments_agree(i, j, z, n):
+    for checker in (check_rothe1, check_rothe2):
+        same_report(checker(i, j, z, n), checker(Fraction(i), Fraction(j), Fraction(z), n))
+    assert repr(gen_binomial(i, n)) == repr(gen_binomial(Fraction(i), n))
+    assert repr(rothe_coeff(i, z, n)) == repr(rothe_coeff(Fraction(i), Fraction(z), n))
+
+
 def test_gen_binomial_examples():
     assert gen_binomial(5, 2) == 10
     assert gen_binomial(-1, 3) == -1
@@ -227,6 +331,26 @@ def test_grid_prove_custom_offsets():
     assert rep.passed and rep.params["offsets"] == [-3, 5, 2]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: grid_prove("rothe1", 2, (Fraction(1, 2), 0, 0)),
+        lambda: grid_prove("rothe1", 2, ("1", 0, 0)),
+        lambda: gen_binomial(3, 1.5),
+        lambda: check_rothe1(1, 2, 3, 2.0),
+    ],
+    ids=["fraction-offset", "str-offset", "float-k", "float-n"],
+)
+def test_non_integer_degree_or_offset_is_a_parameter_error(call):
+    with pytest.raises(ParameterError, match="must be an int, got"):
+        call()
+
+
+def test_rational_checks_are_priced_quadratically():
+    # every coefficient of a degree-n side is itself an O(n) product
+    assert identities.IDENTITIES["rothe1"].cost(3, 5, 2, 800) >= 800**2
+
+
 def test_grid_prove_parameter_errors():
     with pytest.raises(ParameterError):
         grid_prove("vandermonde", 2)
@@ -354,6 +478,30 @@ def test_shift_checkers_match_the_hand_written_sums():
             "rhs": str(rhs),
             "status": "pass",
         }
+
+
+@given(
+    kernel_values_st, kernel_values_st, kernel_values_st, kernel_values_st, kernel_degree_st
+)
+def test_gould_matches_reference(x, y, z, eps, n):
+    lhs, rhs = oracle_gould(x, y, z, eps, n)
+    params = {"x": Fraction(x), "y": Fraction(y), "z": Fraction(z), "eps": Fraction(eps), "n": n}
+    same_report(check_gould(x, y, z, eps, n), VerificationReport.from_sides("gould", params, lhs, rhs))
+
+
+@given(
+    kernel_values_st,
+    kernel_values_st,
+    kernel_values_st,
+    st.integers(min_value=-2, max_value=6),
+    st.integers(min_value=0, max_value=2),
+)
+def test_convolution_matches_the_hand_written_sum(a, b, z, n, lower):
+    expected = sum(
+        (binom(a - k * z, k - lower) * binom(b + k * z, n - k) for k in range(n + 1)),
+        Fraction(0),
+    )
+    assert repr(identities._convolution(a, b, z, n, lower)) == repr(expected)
 
 
 def test_off_by_one_convolution_is_caught(monkeypatch):
