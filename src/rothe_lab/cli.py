@@ -2,9 +2,10 @@
 
 Exit codes are a stable contract: 0 when every check passes, 1 when a
 mathematical check fails (a counterexample is printed), 2 on usage or
-configuration errors, work-cap breaches included. Output is deterministic;
-``--format json`` emits one JSON object per line with identical verdicts to
-the text mode.
+configuration errors, work-cap breaches included, and 3 when the library
+reports an internal error (a broken invariant, such as ``NoMatchError``).
+Output is deterministic; ``--format json`` emits one JSON object per line
+with identical verdicts to the text mode.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import bijections, identities, qseries, words
-from .errors import CapExceededError
+from .errors import CapExceededError, RotheLabError
 from .identities import Identity, VerificationReport
 from .words import Grading
 
@@ -398,6 +399,9 @@ def main(argv=None) -> int:
     except (UsageError, CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RotheLabError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,12 +3,16 @@
 Polynomials are stored densely as a lowest exponent and the run of integer
 coefficients from there up, with arbitrary-precision coefficients and
 possibly negative exponents; ``q`` stays symbolic throughout (the only
-numeric specialization offered is ``q = 1``).
+numeric specialization offered is ``q = 1``). Every product, and every sum
+of shifted products, goes through one packed big-integer kernel,
+:func:`_sum_of_products`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -132,7 +136,7 @@ class LaurentPolynomial:
         return self._offset == other._offset and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple(self.sorted_terms()))
+        return hash((self._offset, self._coeffs))
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial._dense(self._offset, [-c for c in self._coeffs])
@@ -172,21 +176,7 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        short, long = self._coeffs, other._coeffs
-        if not short or not long:
-            return LaurentPolynomial.zero()
-        if len(short) > len(long):
-            short, long = long, short
-        offset = self._offset + other._offset
-        if len(short) == 1:
-            c = short[0]
-            return LaurentPolynomial._dense(offset, long if c == 1 else [c * d for d in long])
-        width = len(long)
-        out = [0] * (len(short) + width - 1)
-        for i, c in enumerate(short):
-            if c:
-                out[i : i + width] = [o + c * d for o, d in zip(out[i : i + width], long)]
-        return LaurentPolynomial._dense(offset, out)
+        return _sum_of_products([(0, self, other)])
 
     __rmul__ = __mul__
 
@@ -214,6 +204,81 @@ class LaurentPolynomial:
     def to_json_dict(self) -> dict:
         """Canonical JSON form: ascending exponents, coefficients as strings."""
         return {"terms": [[e, str(c)] for e, c in self.sorted_terms()]}
+
+
+# slot sizes, in bytes, that ``array`` reads and writes natively, smallest
+# first; a wider slot is converted coefficient by coefficient
+_NATIVE_SLOTS = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def _pack(coeffs, size: int, signed: bool) -> int:
+    """``sum_i coeffs[i] * 2**(8 * size * i)`` for coefficients below
+    ``2**(8 * size)`` in magnitude. With ``signed`` the run may hold
+    negative coefficients: it is packed as its positive part minus its
+    negative part, so that every slot written is nonnegative."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    if signed:
+        return _pack([max(c, 0) for c in coeffs], size, False) - _pack(
+            [max(-c, 0) for c in coeffs], size, False
+        )
+    code = _NATIVE_SLOTS.get(size)
+    if code:
+        return int.from_bytes(array(code, coeffs), sys.byteorder)
+    raw = b"".join([c.to_bytes(size, sys.byteorder) for c in coeffs])
+    return int.from_bytes(raw, sys.byteorder)
+
+
+def _unpack(value: int, size: int, count: int) -> list[int]:
+    """The ``count`` slots of ``size`` bytes of a nonnegative ``value``,
+    lowest first."""
+    raw = value.to_bytes(size * count, sys.byteorder)
+    code = _NATIVE_SLOTS.get(size)
+    if code:
+        return memoryview(raw).cast(code).tolist()
+    return [int.from_bytes(raw[i : i + size], sys.byteorder) for i in range(0, len(raw), size)]
+
+
+def _sum_of_products(summands) -> LaurentPolynomial:
+    """``sum q^shift * left * right`` over ``(shift, left, right)`` triples of
+    polynomials, by Kronecker substitution.
+
+    Every factor becomes one integer whose base-``2^B`` digits are its
+    coefficients; the shifted products are added into one integer, which is
+    unpacked once. The slot width ``B`` comes from an a-priori bound, never
+    from the result: no coefficient of ``left * right`` exceeds ``max|left| *
+    max|right| * min(len)`` in magnitude, so none of the sum exceeds the total
+    of that bound over the triples. When a factor has a negative coefficient,
+    one more bit holds the sign. See D. Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", J. Symbolic
+    Comput. 44 (2009).
+    """
+    triples = []
+    bound, signed = 0, False
+    for shift, left, right in summands:
+        a, b = left._coeffs, right._coeffs
+        if a and b:
+            triples.append((shift + left._offset + right._offset, a, b))
+            low_a, low_b = min(a), min(b)
+            signed = signed or low_a < 0 or low_b < 0
+            bound += max(max(a), -low_a) * max(max(b), -low_b) * min(len(a), len(b))
+    if not triples:
+        return LaurentPolynomial.zero()
+    width = bound.bit_length() + signed
+    size = next((s for s in _NATIVE_SLOTS if 8 * s >= width), (width + 7) // 8)
+    lowest = min(low for low, _, _ in triples)
+    count = max(low + len(a) + len(b) - 1 for low, a, b in triples) - lowest
+    total = 0
+    for low, a, b in triples:
+        product = _pack(a, size, signed) * _pack(b, size, signed)
+        total += product << (8 * size * (low - lowest))
+    if not signed:
+        return LaurentPolynomial._dense(lowest, _unpack(total, size, count))
+    # every coefficient lies strictly within half a slot of zero, so adding
+    # half a slot to each makes all of them nonnegative: no borrows to undo
+    bias = 1 << (8 * size - 1)
+    total += int.from_bytes(bias.to_bytes(size, sys.byteorder) * count, sys.byteorder)
+    return LaurentPolynomial._dense(lowest, [c - bias for c in _unpack(total, size, count)])
 
 
 @lru_cache(maxsize=None)
@@ -304,25 +369,33 @@ def check_invw(p: int, k: int, m: int) -> VerificationReport:
     return VerificationReport.from_sides("invw", {"p": p, "k": k, "m": m}, lhs, rhs)
 
 
-def qchu_term(x: int, y: int, m: int, n: int, k: int) -> LaurentPolynomial:
-    """The ``k``-th summand of the double-sum q-Chu-Vandermonde extension."""
-    total = gaussian_binomial(x - k * m, k) * gaussian_binomial(y + k * m, n - k)
+def _qchu_summands(x: int, y: int, m: int, n: int, k: int):
+    """The ``k``-th summand of the double-sum q-Chu-Vandermonde extension as
+    ``(shift, left, right)`` triples for :func:`_sum_of_products`: the
+    bracket product ``[x-km, k] [y+km, n-k]``, then one product for each
+    ``j = 1..m``."""
+    shift = k * (k * m + k + y - n)
+    yield shift, gaussian_binomial(x - k * m, k), gaussian_binomial(y + k * m, n - k)
     for j in range(1, m + 1):
         left = gaussian_binomial(x - k * m + j - 1, k - 1)
         if left.is_zero():
             # at k = 0 the j-terms vanish; skipping also avoids evaluating
             # the partner bracket at a negative upper argument
             continue
-        total = total + (left * gaussian_binomial(y + k * m - j, n - k)).shift(-k * j)
-    return total.shift(k * (k * m + k + y - n))
+        yield shift - k * j, left, gaussian_binomial(y + k * m - j, n - k)
+
+
+def qchu_term(x: int, y: int, m: int, n: int, k: int) -> LaurentPolynomial:
+    """The ``k``-th summand of the double-sum q-Chu-Vandermonde extension."""
+    return _sum_of_products(_qchu_summands(x, y, m, n, k))
 
 
 def _qchu_sum(x: int, y: int, m: int, n: int) -> LaurentPolynomial:
-    """The structured double sum ``sum_k qchu_term(x, y, m, n, k)``."""
-    total = LaurentPolynomial.zero()
-    for k in range(n + 1):
-        total = total + qchu_term(x, y, m, n, k)
-    return total
+    """The structured double sum ``sum_k qchu_term(x, y, m, n, k)``, added up
+    in one packed integer."""
+    return _sum_of_products(
+        triple for k in range(n + 1) for triple in _qchu_summands(x, y, m, n, k)
+    )
 
 
 def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
@@ -347,13 +420,19 @@ def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
     )
 
 
-def qchu_m1_term(x: int, y: int, n: int, k: int) -> LaurentPolynomial:
-    """The ``k``-th summand of the ``m = 1`` specialization."""
-    total = gaussian_binomial(x - k, k) * gaussian_binomial(y + k, n - k)
+def _qchu_m1_summands(x: int, y: int, n: int, k: int):
+    """The ``k``-th summand of the ``m = 1`` specialization as ``(shift,
+    left, right)`` triples."""
+    shift = k * (2 * k + y - n)
+    yield shift, gaussian_binomial(x - k, k), gaussian_binomial(y + k, n - k)
     left = gaussian_binomial(x - k, k - 1)
     if not left.is_zero():
-        total = total + (left * gaussian_binomial(y + k - 1, n - k)).shift(-k)
-    return total.shift(k * (2 * k + y - n))
+        yield shift - k, left, gaussian_binomial(y + k - 1, n - k)
+
+
+def qchu_m1_term(x: int, y: int, n: int, k: int) -> LaurentPolynomial:
+    """The ``k``-th summand of the ``m = 1`` specialization."""
+    return _sum_of_products(_qchu_m1_summands(x, y, n, k))
 
 
 def _qchu_m1_domain(x: int, y: int, n: int) -> bool:
@@ -368,9 +447,9 @@ def check_qchu_m1(x: int, y: int, n: int) -> VerificationReport:
         raise ParameterError(f"n must be >= 0, got {n}")
     if not _qchu_m1_domain(x, y, n):
         raise ParameterError(f"need x >= n and y >= 1, got x={x}, y={y}, n={n}")
-    lhs = LaurentPolynomial.zero()
-    for k in range(n + 1):
-        lhs = lhs + qchu_m1_term(x, y, n, k)
+    lhs = _sum_of_products(
+        triple for k in range(n + 1) for triple in _qchu_m1_summands(x, y, n, k)
+    )
     rhs = gaussian_binomial(x + y, n)
     return VerificationReport.from_sides(
         "qchu-m1", {"x": x, "y": y, "n": n}, lhs, rhs

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rothe_lab import VerificationReport, cli, identities
+from rothe_lab import NoMatchError, VerificationReport, cli, identities
 
 
 def run(capsys, *argv):
@@ -611,6 +611,23 @@ def test_verify_exit_code_edges(capsys):
                        "--p", "2", "--q", "1", "--m", "0", "--n", "1")
     assert code == 0
     assert out == "0 checked, 0 failed\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("target", ["--word", "--all"])
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch, target, fmt):
+    # a NoMatchError is no ValueError: it signals a broken invariant, not a
+    # bad argument and not a counterexample
+    def broken(w, p, q, g):
+        raise NoMatchError(f"no equal-weight prefixes in {w!r}")
+
+    monkeypatch.setattr(cli.bijections, "decompose", broken)
+    argv = ["bijection", "factorize", "--p", "1", "--q", "1", "--m", "1", "--n", "1",
+            "--format", fmt, *(["--word", "ba"] if target == "--word" else ["--all"])]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    word = "ba" if target == "--word" else "ab"
+    assert err == f"internal error: no equal-weight prefixes in {word!r}\n"
 
 
 def test_verify_help_lists_exactly_the_registry(capsys):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rothe_lab import (
     Grading,
@@ -254,16 +254,31 @@ def test_qweighted_parameter_errors():
 
 
 def test_flipped_qchu_exponent_is_caught(monkeypatch):
-    # qchu_term(x, y, m, n, k) ends in a shift by k*(k*m + k + y - n); the
-    # mutant shifts by the negated exponent instead
-    def flipped(x, y, m, n, k):
-        return qchu_term(x, y, m, n, k).shift(-2 * k * (k * m + k + y - n))
+    # every triple of the k-th summand carries the shift k*(k*m + k + y - n)
+    # (less k*j for the j-terms); the mutant negates that common exponent
+    summands = qseries._qchu_summands
 
-    monkeypatch.setattr(qseries, "qchu_term", flipped)
+    def flipped(x, y, m, n, k):
+        for shift, left, right in summands(x, y, m, n, k):
+            yield shift - 2 * k * (k * m + k + y - n), left, right
+
+    monkeypatch.setattr(qseries, "_qchu_summands", flipped)
     tuples = [(x, y, m, n) for m in range(2) for n in range(3)
               for x in range(m * n, m * n + 2) for y in range(1, 3)]
     assert any(not check_qchu(*t).passed for t in tuples)
     assert any(not qweighted_bijection_check(*t).passed for t in tuples)
+
+
+def test_qchu_sum_is_sum_of_terms():
+    # one accumulator over every k gives what the per-k terms add up to
+    for m in range(3):
+        for n in range(5):
+            for x in (m * n, m * n + 3, m * n + 11):
+                for y in (1, 4):
+                    total = LaurentPolynomial.zero()
+                    for k in range(n + 1):
+                        total = total + qchu_term(x, y, m, n, k)
+                    assert qseries._qchu_sum(x, y, m, n) == total, (x, y, m, n)
 
 
 def test_concatenation_exponent_rule():
@@ -360,3 +375,139 @@ def test_lp_cancellation_trims_to_canonical_form(a, cancel, b):
     assert_matches((pa + pb) - pb, ref_clean(a))
     assert_matches(pa * 0, {})
     assert_matches(pa * (pb - pb), {})
+
+
+# The packed product kernel against the former schoolbook convolution
+
+
+def dense_form(p: LaurentPolynomial) -> tuple[int, list[int]]:
+    """Lowest exponent and the coefficient run from there up, read through
+    the public interface."""
+    if p.is_zero():
+        return 0, []
+    low = p.min_exponent()
+    return low, [p.coefficient(e) for e in range(low, p.max_exponent() + 1)]
+
+
+def reference_mul(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
+    """The dense schoolbook product that ``LaurentPolynomial.__mul__`` was
+    before the packed kernel: one row of the convolution per coefficient of
+    the shorter factor."""
+    (offset_a, short), (offset_b, long) = dense_form(a), dense_form(b)
+    if not short or not long:
+        return LaurentPolynomial.zero()
+    if len(short) > len(long):
+        short, long = long, short
+    width = len(long)
+    out = [0] * (len(short) + width - 1)
+    for i, c in enumerate(short):
+        if c:
+            out[i : i + width] = [o + c * d for o, d in zip(out[i : i + width], long)]
+    return LaurentPolynomial(enumerate(out, offset_a + offset_b))
+
+
+def with_sign(terms: dict, mode: str) -> dict:
+    if mode == "positive":
+        return {e: abs(c) for e, c in terms.items()}
+    if mode == "negative":
+        return {e: -abs(c) for e, c in terms.items()}
+    return terms
+
+
+long_runs_st = st.builds(
+    lambda offset, coeffs: dict(enumerate(coeffs, offset)),
+    st.integers(min_value=-40, max_value=40),
+    st.lists(coeffs_st, min_size=64, max_size=400),
+)
+one_term_st = st.dictionaries(exponents_st, coeffs_st.filter(bool), min_size=1, max_size=1)
+operands_st = st.builds(
+    with_sign,
+    st.one_of(term_dicts_st, long_runs_st, one_term_st),
+    st.sampled_from(("mixed", "positive", "negative")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands_st, operands_st)
+def test_lp_products_match_dict_reference(a, b):
+    # long, one-sided, mixed-sign, huge and one-term operands
+    pa, pb = LaurentPolynomial(a), LaurentPolynomial(b)
+    product = pa * pb
+    assert_matches(product, ref_mul(ref_clean(a), ref_clean(b)))
+    assert product == reference_mul(pa, pb) == pb * pa
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-30, max_value=30), operands_st, operands_st),
+                max_size=5))
+def test_sum_of_products_matches_schoolbook(triples):
+    polys = [(s, LaurentPolynomial(a), LaurentPolynomial(b)) for s, a, b in triples]
+    expected = LaurentPolynomial.zero()
+    for s, a, b in polys:
+        expected = expected + reference_mul(a, b).shift(s)
+    assert qseries._sum_of_products(iter(polys)) == expected
+
+
+def test_sum_of_products_cancels_to_canonical_zero():
+    p = LaurentPolynomial({-3: 2, 0: -5, 4: 10**30})
+    r = LaurentPolynomial({1: -1, 2: 7})
+    assert qseries._sum_of_products([]) == 0
+    assert qseries._sum_of_products([(5, p, LaurentPolynomial.zero())]) == 0
+    total = qseries._sum_of_products([(2, p, r), (1, -p, r.shift(1))])
+    assert total.is_zero() and total.min_exponent() is None
+
+
+@pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 72, 73, 129])
+@pytest.mark.parametrize("length", [1, 4])
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+def test_sum_of_products_at_the_width_bound(bits, length, copies, signs):
+    # factors of `length` equal coefficients +-M and +-N: the middle
+    # coefficient of each product is length*M*N, and the copies share their
+    # shift, so the sum's middle coefficient is copies*length*M*N, which is
+    # the a-priori bound itself and has exactly `bits` bits. A negative
+    # factor costs the slots a sign bit.
+    spare = bits - 1 - (length.bit_length() - 1) - (copies.bit_length() - 1)
+    big_m, big_n = 2 ** (spare // 2), 2 ** (spare - spare // 2)
+    left = LaurentPolynomial({e: signs[0] * big_m for e in range(length)})
+    right = LaurentPolynomial({e: signs[1] * big_n for e in range(-2, length - 2)})
+    total = qseries._sum_of_products([(3, left, right)] * copies)
+    expected = LaurentPolynomial.zero()
+    for _ in range(copies):
+        expected = expected + reference_mul(left, right).shift(3)
+    assert total == expected
+    assert total.coefficient(length) == signs[0] * signs[1] * 2 ** (bits - 1)
+
+
+def reference_qchu_lhs(x: int, y: int, m: int, n: int) -> LaurentPolynomial:
+    """The double sum of :func:`check_qchu`, term by term with the schoolbook
+    product."""
+    total = LaurentPolynomial.zero()
+    for k in range(n + 1):
+        shift = k * (k * m + k + y - n)
+        product = reference_mul(gaussian_binomial(x - k * m, k),
+                                gaussian_binomial(y + k * m, n - k))
+        total = total + product.shift(shift)
+        for j in range(1, m + 1 if k else 1):  # the j-terms vanish at k = 0
+            product = reference_mul(gaussian_binomial(x - k * m + j - 1, k - 1),
+                                    gaussian_binomial(y + k * m - j, n - k))
+            total = total + product.shift(shift - k * j)
+    return total
+
+
+def test_qchu_sums_match_schoolbook():
+    for m in range(3):
+        for n in range(5):
+            for x in (m * n, m * n + 2, m * n + 9):
+                for y in (1, 3):
+                    expected = reference_qchu_lhs(x, y, m, n)
+                    assert check_qchu(x, y, m, n).lhs == expected, (x, y, m, n)
+                    if m == 1:
+                        assert check_qchu_m1(x, y, n).lhs == expected, (x, y, n)
+
+
+def test_check_qchu_large_operands():
+    rep = check_qchu(200, 200, 1, 6)
+    assert rep.passed and rep.lhs == reference_qchu_lhs(200, 200, 1, 6)
+    rep = check_qchu(800, 800, 1, 6)
+    assert rep.passed and rep.lhs.value_at_one() == math.comb(1600, 6)
