@@ -140,7 +140,7 @@ def cmd_verify(args) -> int:
             if name in record.defaults:
                 continue
             raise UsageError(f"--{name} is required for identity '{args.identity}'")
-        values[name] = _parse_values(raw, name, fractional=name in record.rational)
+        values[name] = _parse_values(raw, name, fractional=name in (record.grid_variables or ()))
     cap = _resolve_cap(args)
     domain, word_length = record.domain, record.word_length
 

@@ -21,14 +21,6 @@ from .errors import ParameterError
 RationalLike = int | Fraction
 
 
-def _as_fraction(value: RationalLike, name: str = "value") -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ParameterError(f"{name} must be an int or Fraction, got {type(value).__name__}")
-
-
 def _json_value(value):
     if isinstance(value, int):
         return value
@@ -86,33 +78,35 @@ class Identity:
     """Everything stated about one identity, in one place.
 
     ``check`` takes every variable by keyword and returns a report. ``order``
-    is the sweep order, the last variable varying fastest; ``rational`` names
-    the variables that may take non-integer values. The other callables take
-    the variables positionally in sweep order: ``defaults`` maps a variable
-    that may be left unset to its range, computed from the variables before
-    it; ``domain`` is the precondition, outside which ``check`` raises
-    :class:`ParameterError` and a sweep skips the tuple (``None`` when there
-    is none); ``cost`` estimates the elementary evaluations of one check;
-    ``word_length`` gives the length of the words the check enumerates, or
-    ``None`` for an empty class (``None`` itself when it enumerates nothing).
+    is the sweep order, the last variable varying fastest. ``sides`` is set
+    for a polynomial identity in every variable but the degree ``n``; it takes
+    those variables written over a common denominator ``d``, then ``n``, then
+    ``d``, and returns ``n! d**n`` times each side as an integer. The other
+    callables take the variables positionally in sweep order: ``defaults``
+    maps a variable that may be left unset to its range, computed from the
+    variables before it; ``domain`` is the precondition, outside which
+    ``check`` raises :class:`ParameterError` and a sweep skips the tuple
+    (``None`` when there is none); ``cost`` estimates the elementary
+    evaluations of one check; ``word_length`` gives the length of the words
+    the check enumerates, or ``None`` for an empty class (``None`` itself when
+    it enumerates nothing).
     """
 
     check: Callable[..., VerificationReport]
     order: tuple[str, ...]
     cost: Callable[..., int]
-    rational: frozenset[str] = frozenset()
+    sides: Callable[..., tuple[int, int]] | None = None
     defaults: Mapping[str, Callable[..., range]] = field(default_factory=dict)
     domain: Callable[..., bool] | None = None
     word_length: Callable[..., int | None] | None = None
 
     @property
     def grid_variables(self) -> tuple[str, ...] | None:
-        """Every variable but the degree ``n``, when all of them may be
-        rational, so that a grid in them certifies a polynomial identity."""
-        free = tuple(name for name in self.order if name != "n")
-        if "n" in self.order and set(free) == self.rational:
-            return free
-        return None
+        """Every variable but the degree ``n`` when ``sides`` is set: they may
+        be rational, and a grid in them certifies the polynomial identity."""
+        if self.sides is None:
+            return None
+        return tuple(name for name in self.order if name != "n")
 
 
 def _require_int(value, name: str) -> None:
@@ -195,22 +189,40 @@ def rothe_coeff(x: RationalLike, z: RationalLike, k: int) -> Fraction:
     return _side(_rothe_numerator(x, z, k, d), k, d)
 
 
+def _rational_report(
+    identity: str, sides: Callable[..., tuple[int, int]], n: int, **values: RationalLike
+) -> VerificationReport:
+    """The report of a rational identity at ``values`` and degree ``n``, its
+    two sides computed by ``sides`` over the common denominator."""
+    _require_n(n)
+    d, scaled = _scaled(**values)
+    lhs, rhs = sides(*scaled, n, d)
+    params = {**{name: Fraction(v) for name, v in values.items()}, "n": n}
+    return VerificationReport.from_sides(identity, params, _side(lhs, n, d), _side(rhs, n, d))
+
+
+def _rothe1_sides(X: int, Y: int, Z: int, n: int, d: int) -> tuple[int, int]:
+    lhs = sum(
+        math.comb(n, k) * _rothe_numerator(X, Z, k, d) * _rothe_numerator(Y, Z, n - k, d)
+        for k in range(n + 1)
+    )
+    return lhs, _rothe_numerator(X + Y, Z, n, d)
+
+
 def check_rothe1(
     x: RationalLike, y: RationalLike, z: RationalLike, n: int
 ) -> VerificationReport:
     """Convolution of two coefficient families against the combined one:
     ``sum_k B_k(x, z) * B_{n-k}(y, z) == B_n(x + y, z)``."""
-    _require_n(n)
-    x, y, z = _as_fraction(x, "x"), _as_fraction(y, "y"), _as_fraction(z, "z")
-    d, (X, Y, Z) = _scaled(x=x, y=y, z=z)
+    return _rational_report("rothe1", _rothe1_sides, n, x=x, y=y, z=z)
+
+
+def _rothe2_sides(X: int, Y: int, Z: int, n: int, d: int) -> tuple[int, int]:
     lhs = sum(
-        math.comb(n, k) * _rothe_numerator(X, Z, k, d) * _rothe_numerator(Y, Z, n - k, d)
+        math.comb(n, k) * _rothe_numerator(X, Z, k, d) * _falling(Y + k * Z, n - k, d)
         for k in range(n + 1)
     )
-    rhs = _rothe_numerator(X + Y, Z, n, d)
-    return VerificationReport.from_sides(
-        "rothe1", {"x": x, "y": y, "z": z, "n": n}, _side(lhs, n, d), _side(rhs, n, d)
-    )
+    return lhs, _falling(X + Y, n, d)
 
 
 def check_rothe2(
@@ -218,17 +230,7 @@ def check_rothe2(
 ) -> VerificationReport:
     """Mixed convolution ``sum_k B_k(x, z) * C(y + k*z, n - k) == C(x + y, n)``
     (Rothe's identity in polynomial form; ``z = 0`` is Chu-Vandermonde)."""
-    _require_n(n)
-    x, y, z = _as_fraction(x, "x"), _as_fraction(y, "y"), _as_fraction(z, "z")
-    d, (X, Y, Z) = _scaled(x=x, y=y, z=z)
-    lhs = sum(
-        math.comb(n, k) * _rothe_numerator(X, Z, k, d) * _falling(Y + k * Z, n - k, d)
-        for k in range(n + 1)
-    )
-    rhs = _falling(X + Y, n, d)
-    return VerificationReport.from_sides(
-        "rothe2", {"x": x, "y": y, "z": z, "n": n}, _side(lhs, n, d), _side(rhs, n, d)
-    )
+    return _rational_report("rothe2", _rothe2_sides, n, x=x, y=y, z=z)
 
 
 def _convolution_numerator(a: int, b: int, z: int, n: int, lower: int, d: int) -> int:
@@ -259,6 +261,11 @@ def _convolution(
     return _side(_convolution_numerator(a, b, z, n, lower, d), degree, d)
 
 
+def _gould_sides(X: int, Y: int, Z: int, E: int, n: int, d: int) -> tuple[int, int]:
+    lhs = _convolution_numerator(X, Y, Z, n, 0, d)
+    return lhs, _convolution_numerator(X + E, Y - E, Z, n, 0, d)
+
+
 def check_gould(
     x: RationalLike,
     y: RationalLike,
@@ -269,15 +276,7 @@ def check_gould(
     """Shift invariance of the plain binomial convolution:
     ``S_0(x, y; z, n) = sum_k C(x - k*z, k) * C(y + k*z, n - k)`` is unchanged
     by ``x -> x + eps``, ``y -> y - eps``."""
-    _require_n(n)
-    x, y = _as_fraction(x, "x"), _as_fraction(y, "y")
-    z, eps = _as_fraction(z, "z"), _as_fraction(eps, "eps")
-    d, (X, Y, Z, E) = _scaled(x=x, y=y, z=z, eps=eps)
-    lhs = _convolution_numerator(X, Y, Z, n, 0, d)
-    rhs = _convolution_numerator(X + E, Y - E, Z, n, 0, d)
-    return VerificationReport.from_sides(
-        "gould", {"x": x, "y": y, "z": z, "eps": eps, "n": n}, _side(lhs, n, d), _side(rhs, n, d)
-    )
+    return _rational_report("gould", _gould_sides, n, x=x, y=y, z=z, eps=eps)
 
 
 def check_pqkm(p: int, q: int, m: int, n: int) -> VerificationReport:
@@ -344,20 +343,21 @@ IDENTITIES: dict[str, Identity] = {
     "rothe1": Identity(
         check=check_rothe1,
         order=("x", "y", "z", "n"),
-        rational=frozenset({"x", "y", "z"}),
+        sides=_rothe1_sides,
         cost=lambda x, y, z, n: _side_cost(n),
     ),
     "rothe2": Identity(
         check=check_rothe2,
         order=("x", "y", "z", "n"),
-        rational=frozenset({"x", "y", "z"}),
+        sides=_rothe2_sides,
         cost=lambda x, y, z, n: _side_cost(n),
     ),
     "gould": Identity(
         check=check_gould,
         order=("x", "y", "z", "n", "eps"),
-        rational=frozenset({"x", "y", "z", "eps"}),
-        defaults={"eps": lambda x, y, z, n: range(0, n + 1)},
+        sides=_gould_sides,
+        # one eps at n < 0, so that the check refuses the degree
+        defaults={"eps": lambda x, y, z, n: range(0, max(n, 0) + 1)},
         cost=lambda x, y, z, n, eps: 2 * _side_cost(n),
     ),
     "pqkm": Identity(
@@ -409,14 +409,13 @@ def grid_prove(
         )
     for offset in offsets:
         _require_int(offset, "each offset")
+    # comparing numerators suffices: d = 1 here, so both sides lie over the same positive n!
     for count, point in enumerate(
         itertools.product(*(range(off, off + n + 1) for off in offsets)), 1
     ):
-        report = record.check(n=n, **dict(zip(variables, point)))
-        if not report.passed:
+        lhs, rhs = record.sides(*point, n, 1)
+        if lhs != rhs:
             break
     params = {"n": n, "offsets": list(offsets), "grid_points": count}
-    counterexample = None if report.passed else dict(zip(variables, point))
-    return VerificationReport(
-        identity, params, report.lhs, report.rhs, report.status, counterexample
-    )
+    status, where = ("pass", None) if lhs == rhs else ("fail", dict(zip(variables, point)))
+    return VerificationReport(identity, params, _side(lhs, n, 1), _side(rhs, n, 1), status, where)

@@ -479,12 +479,11 @@ def test_grid_prove_bad_identity_exit_2(capsys):
 
 
 def test_grid_prove_failure_exit_1(capsys, monkeypatch):
-    def broken(x, y, z, n):
-        return VerificationReport.from_sides(
-            "rothe1", {"x": x, "y": y, "z": z, "n": n}, Fraction(0), Fraction(1)
-        )
-
-    patch_check(monkeypatch, "rothe1", broken)
+    # grid_prove compares the integer sides and never calls the checker
+    entry = dataclasses.replace(
+        identities.IDENTITIES["rothe1"], sides=lambda x, y, z, n, d: (0, 1)
+    )
+    monkeypatch.setitem(identities.IDENTITIES, "rothe1", entry)
     code, out, _ = run(capsys, "grid-prove", "--identity", "rothe1", "--n", "1")
     assert code == 1
     assert out.startswith("COUNTEREXAMPLE rothe1 at x=0 y=0 z=0")
@@ -611,6 +610,30 @@ def test_verify_exit_code_edges(capsys):
                        "--p", "2", "--q", "1", "--m", "0", "--n", "1")
     assert code == 0
     assert out == "0 checked, 0 failed\n"
+    # eps defaults to 0..n; at n < 0 the checker still sees the bad degree
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "--identity", "gould", "--format", fmt,
+                             "--x", "1", "--y", "1", "--z", "1", "--n=-1")
+        assert (code, out) == (2, "")
+        assert err == "error: n must be >= 0, got -1\n"
+
+
+# one tuple per word-class identity whose words are one letter too long
+LENGTH_CAP_BREACHES = {
+    "cardinality": ["--p=27", "--k=1", "--m=0"],
+    "invw": ["--p=28", "--k=1", "--m=1"],
+    "qword": ["--p=25", "--q=2", "--m=1", "--n=1"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("identity", sorted(LENGTH_CAP_BREACHES))
+def test_verify_length_cap_refusal(capsys, identity, fmt):
+    code, out, err = run(capsys, "verify", "--identity", identity, "--format", fmt,
+                         *LENGTH_CAP_BREACHES[identity])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tuple {")
+    assert err.endswith("enumerates words of length 27, beyond the length cap 26\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

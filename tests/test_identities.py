@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -358,6 +360,53 @@ def test_grid_prove_parameter_errors():
         grid_prove("rothe1", -1)
     with pytest.raises(ParameterError):
         grid_prove("gould", 2, offsets=(0, 0, 0))
+
+
+CERTIFIABLE = ["rothe1", "rothe2", "gould"]
+
+
+@pytest.mark.parametrize("name", CERTIFIABLE)
+def test_grid_prove_reports_the_check_at_the_far_corner(name):
+    record = identities.IDENTITIES[name]
+    variables = record.grid_variables
+    rng = random.Random(801)
+    for n in range(4):
+        for _ in range(3):
+            offsets = tuple(rng.randint(-5, 5) for _ in variables)
+            rep = grid_prove(name, n, offsets)
+            corner = {v: off + n for v, off in zip(variables, offsets)}
+            expected = record.check(n=n, **corner)
+            assert rep.passed and rep.counterexample is None
+            assert rep.params == {
+                "n": n, "offsets": list(offsets), "grid_points": (n + 1) ** len(variables)
+            }
+            assert repr((rep.lhs, rep.rhs, rep.status)) == repr(
+                (expected.lhs, expected.rhs, expected.status)
+            )
+
+
+@pytest.mark.parametrize("name", CERTIFIABLE)
+def test_grid_prove_catches_one_wrong_interior_point(monkeypatch, name):
+    record = identities.IDENTITIES[name]
+    variables = record.grid_variables
+    n, offsets = 2, tuple(range(-1, len(variables) - 1))
+    bad = tuple(off + 1 for off in offsets)
+    sides = record.sides
+
+    def wrong_once(*args):
+        lhs, rhs = sides(*args)
+        return (lhs + 1, rhs) if args[: len(variables)] == bad else (lhs, rhs)
+
+    # no checker is called: the record keeps no check at all
+    entry = dataclasses.replace(record, sides=wrong_once, check=None)
+    monkeypatch.setitem(identities.IDENTITIES, name, entry)
+    rep = grid_prove(name, n, offsets)
+    index = 1 + sum((n + 1) ** i for i in range(len(variables)))
+    assert rep.status == "fail"
+    assert rep.params["grid_points"] == index
+    assert rep.counterexample == dict(zip(variables, bad))
+    truth = sides(*bad, n, 1)
+    assert (rep.lhs, rep.rhs) == (Fraction(truth[0] + 1, 2), Fraction(truth[1], 2))
 
 
 def test_report_json_schema():
