@@ -11,13 +11,13 @@ with identical verdicts to the text mode.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, Sequence
 
 from . import bijections, identities, qseries, words
 from .errors import CapExceededError, RotheLabError
@@ -44,8 +44,8 @@ def _registry() -> dict[str, Identity]:
 # verify: sweep machinery
 
 
-def _parse_values(text: str, name: str, fractional: bool) -> list:
-    """Parse ``"2..5"`` as an inclusive integer range, ``"3"`` as a single
+def _parse_values(text: str, name: str, fractional: bool) -> Sequence:
+    """Parse ``"2..5"`` as an inclusive, lazy integer ``range``, ``"3"`` as a single
     integer, and (where rationals are legal) ``"1/2"`` as a single fraction."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
@@ -55,7 +55,7 @@ def _parse_values(text: str, name: str, fractional: bool) -> list:
             raise UsageError(f"--{name}: bad range {text!r}; expected LO..HI") from None
         if lo > hi:
             raise UsageError(f"--{name}: empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if "/" in text:
         if not fractional:
             raise UsageError(f"--{name} must be an integer or integer range, got {text!r}")
@@ -71,27 +71,20 @@ def _parse_values(text: str, name: str, fractional: bool) -> list:
         ) from None
 
 
-def _points(record: Identity, values: dict[str, list]) -> Iterator[tuple]:
-    """Every tuple of a sweep, in sweep order; a variable left unset ranges
-    over its default, computed from the values before it."""
+def _points(record: Identity, values: dict[str, Sequence]) -> Iterator[tuple]:
+    """Every tuple of a sweep, lazily and in sweep order; a variable left unset
+    ranges over its default, computed from the values before it. Each level
+    chains the levels below it, so a tuple costs no Python frame."""
     order = record.order
-    head = 0
-    while head < len(order) and order[head] in values:
-        head += 1
 
     def rest(point: tuple, i: int) -> Iterator[tuple]:
-        if i == len(order):
-            yield point
-            return
         name = order[i]
         pool = values[name] if name in values else record.defaults[name](*point)
-        for value in pool:
-            yield from rest((*point, value), i + 1)
+        if i + 1 == len(order):
+            return map(point.__add__, zip(pool))
+        return chain.from_iterable(rest((*point, value), i + 1) for value in pool)
 
-    points = itertools.product(*(values[name] for name in order[:head]))
-    if head == len(order):
-        return points
-    return (full for point in points for full in rest(point, head))
+    return rest((), 0)
 
 
 def _resolve_cap(args) -> int:
@@ -133,7 +126,7 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown identity {args.identity!r}; choose from {', '.join(sorted(registry))}"
         )
-    values: dict[str, list] = {}
+    values: dict[str, Sequence] = {}
     for name in record.order:
         raw = getattr(args, name)
         if raw is None:
@@ -144,20 +137,19 @@ def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
     domain, word_length = record.domain, record.word_length
 
-    # estimate the work up front, stopping at the first tuple that breaches a
-    # cap; refuse the whole sweep on a breach
+    # estimate the work up front, one unit per skipped tuple, stopping at the
+    # first tuple that breaches a cap; refuse the whole sweep on a breach
     total_work = 0
     for point in _points(record, values):
-        if domain is not None and not domain(*point):
-            continue
-        if word_length is not None:
+        inside = domain is None or domain(*point)
+        if inside and word_length is not None:
             length = word_length(*point)
             if length is not None and length > words.MAX_WORD_LENGTH:
                 raise UsageError(
                     f"tuple {dict(zip(record.order, point))} enumerates words of length "
                     f"{length}, beyond the length cap {words.MAX_WORD_LENGTH}"
                 )
-        total_work += record.cost(*point)
+        total_work += record.cost(*point) if inside else 1
         if total_work > cap:
             raise UsageError(
                 f"estimated work of at least {total_work} exceeds the cap {cap}; "

@@ -114,10 +114,10 @@ def _require_int(value, name: str) -> None:
         raise ParameterError(f"{name} must be an int, got {type(value).__name__}")
 
 
-def _require_n(n: int) -> None:
-    _require_int(n, "n")
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+def _require_natural(value: int, name: str) -> None:
+    _require_int(value, name)
+    if value < 0:
+        raise ParameterError(f"{name} must be >= 0, got {value}")
 
 
 # The integer kernel. Rational arguments are written over their least common
@@ -145,7 +145,9 @@ def _falling(top: int, k: int, d: int) -> int:
 
 def _side(numerator: int, degree: int, d: int) -> Fraction:
     """The value ``numerator / (degree! * d**degree)`` of a degree-``degree``
-    product or convolution over the common denominator ``d``."""
+    product or convolution over the common denominator ``d``; 0 at a negative degree."""
+    if degree < 0:
+        return Fraction(0)
     return Fraction(numerator, math.factorial(degree) * d**degree)
 
 
@@ -189,16 +191,24 @@ def rothe_coeff(x: RationalLike, z: RationalLike, k: int) -> Fraction:
     return _side(_rothe_numerator(x, z, k, d), k, d)
 
 
+def _report(
+    identity: str, params: dict, degree: int, d: int, sides: tuple[int, int]
+) -> VerificationReport:
+    """The report of an identity at ``params``, its two sides given as integers
+    over ``degree! d**degree``."""
+    lhs, rhs = (_side(side, degree, d) for side in sides)
+    return VerificationReport.from_sides(identity, params, lhs, rhs)
+
+
 def _rational_report(
     identity: str, sides: Callable[..., tuple[int, int]], n: int, **values: RationalLike
 ) -> VerificationReport:
     """The report of a rational identity at ``values`` and degree ``n``, its
     two sides computed by ``sides`` over the common denominator."""
-    _require_n(n)
+    _require_natural(n, "n")
     d, scaled = _scaled(**values)
-    lhs, rhs = sides(*scaled, n, d)
     params = {**{name: Fraction(v) for name, v in values.items()}, "n": n}
-    return VerificationReport.from_sides(identity, params, _side(lhs, n, d), _side(rhs, n, d))
+    return _report(identity, params, n, d, sides(*scaled, n, d))
 
 
 def _rothe1_sides(X: int, Y: int, Z: int, n: int, d: int) -> tuple[int, int]:
@@ -234,31 +244,16 @@ def check_rothe2(
 
 
 def _convolution_numerator(a: int, b: int, z: int, n: int, lower: int, d: int) -> int:
-    """``(n-l)! * d**(n-l) * S_l(a / d, b / d; z / d, n)`` for ``0 <= l = lower <= n``:
+    """``(n-l)! * d**(n-l) * S_l(a / d, b / d; z / d, n)``, with ``l = lower >= 0`` and
+    ``S_l(a, b; z, n) = sum_{k=0}^{n} C(a - k*z, k - l) * C(b + k*z, n - k)``:
     ``sum_{k=l}^{n} C(n-l, k-l) * N_k * M_k``, where ``N_k`` and ``M_k`` are the
-    falling products of ``C(a - k*z, k - l)`` and ``C(b + k*z, n - k)``."""
+    falling products of ``C(a - k*z, k - l)`` and ``C(b + k*z, n - k)``; 0 at ``n < l``."""
     return sum(
         math.comb(n - lower, k - lower)
         * _falling(a - k * z, k - lower, d)
         * _falling(b + k * z, n - k, d)
         for k in range(lower, n + 1)
     )
-
-
-def _convolution(
-    a: RationalLike, b: RationalLike, z: RationalLike, n: int, lower: int = 0
-) -> Fraction:
-    """The binomial convolution
-    ``S_l(a, b; z, n) = sum_{k=0}^{n} C(a - k*z, k - l) * C(b + k*z, n - k)``
-    with ``l = lower >= 0``; every term vanishes, so the sum is zero, for
-    ``n < l``. Computed over the common denominator ``d`` of ``a, b, z`` as
-    one integer over ``(n-l)! * d**(n-l)``."""
-    _require_int(n, "n")
-    degree = n - lower
-    if degree < 0:
-        return Fraction(0)
-    d, (a, b, z) = _scaled(a=a, b=b, z=z)
-    return _side(_convolution_numerator(a, b, z, n, lower, d), degree, d)
 
 
 def _gould_sides(X: int, Y: int, Z: int, E: int, n: int, d: int) -> tuple[int, int]:
@@ -284,11 +279,14 @@ def check_pqkm(p: int, q: int, m: int, n: int) -> VerificationReport:
     ``sum_k C(p - k*m, k) * C(q + k*m, n - k)
       == sum_k C(p + 1 - k*m, k) * C(q - 1 + k*m, n - k)``.
     Both sums are empty, so both sides are 0, at ``n < 0``."""
-    lhs = _convolution(p, q, m, n)
-    rhs = _convolution(p + 1, q - 1, m, n)
-    return VerificationReport.from_sides(
-        "pqkm", {"p": p, "q": q, "m": m, "n": n}, lhs, rhs
-    )
+    _require_int(n, "n")
+    d, (P, Q, M) = _scaled(p=p, q=q, m=m)
+    return _report("pqkm", {"p": p, "q": q, "m": m, "n": n}, n, d, _gould_sides(P, Q, M, d, n, d))
+
+
+def _lowered_numerator(P: int, Q: int, M: int, J: int, n: int, d: int) -> int:
+    """``(n-1)! d**(n-1) S_1(p + j - 1, q - j; m, n)`` at ``p = P / d`` and so on."""
+    return _convolution_numerator(P + J - d, Q - J, M, n, 1, d)
 
 
 def shift_domain(p: int, q: int, m: int, n: int) -> bool:
@@ -301,18 +299,15 @@ def check_kmx(p: int, q: int, m: int, n: int) -> VerificationReport:
     ``S_0(p, q; m, n) + sum_{j=1}^{m} S_1(p + j - 1, q - j; m, n) == C(p + q, n)``,
     where ``S_1(a, b; m, n) = sum_k C(a - k*m, k - 1) * C(b + k*m, n - k)`` is
     the lowered convolution. Requires ``n, m >= 0``, ``p >= m*n`` and ``q >= 1``."""
-    _require_n(n)
-    if m < 0:
-        raise ParameterError(f"m must be >= 0, got {m}")
+    _require_natural(n, "n")
+    _require_natural(m, "m")
+    d, (P, Q, M) = _scaled(p=p, q=q, m=m)
     if not shift_domain(p, q, m, n):
         raise ParameterError(f"need p >= m*n and q >= 1, got p={p}, q={q}, m={m}, n={n}")
-    lhs = _convolution(p, q, m, n)
-    for j in range(1, m + 1):
-        lhs += _convolution(p + j - 1, q - j, m, n, lower=1)
-    rhs = gen_binomial(p + q, n)
-    return VerificationReport.from_sides(
-        "kmx", {"p": p, "q": q, "m": m, "n": n}, lhs, rhs
-    )
+    # n * d lifts each lowered numerator from (n-1)! d**(n-1) to n! d**n
+    lowered = sum(_lowered_numerator(P, Q, M, j * d, n, d) for j in range(1, m + 1))
+    lhs = _convolution_numerator(P, Q, M, n, 0, d) + n * d * lowered
+    return _report("kmx", {"p": p, "q": q, "m": m, "n": n}, n, d, (lhs, _falling(P + Q, n, d)))
 
 
 def _kmpink_domain(p: int, q: int, m: int, n: int, j: int) -> bool:
@@ -324,13 +319,12 @@ def check_kmpink(p: int, q: int, m: int, n: int, j: int) -> VerificationReport:
     ``S_1(a, b; m, n) = sum_k C(a - k*m, k - 1) * C(b + k*m, n - k)``, for
     ``1 <= j <= m``: ``S_1(p + j - 1, q - j; m, n) == S_1(p - 1, q; m, n)``.
     Both sums are empty, so both sides are 0, at ``n < 0``."""
+    _require_int(n, "n")
+    d, (P, Q, M, J) = _scaled(p=p, q=q, m=m, j=j)
     if not _kmpink_domain(p, q, m, n, j):
         raise ParameterError(f"j must lie in [1, m] = [1, {m}], got {j}")
-    lhs = _convolution(p + j - 1, q - j, m, n, lower=1)
-    rhs = _convolution(p - 1, q, m, n, lower=1)
-    return VerificationReport.from_sides(
-        "kmpink", {"p": p, "q": q, "m": m, "n": n, "j": j}, lhs, rhs
-    )
+    sides = _lowered_numerator(P, Q, M, J, n, d), _lowered_numerator(P, Q, M, 0, n, d)
+    return _report("kmpink", {"p": p, "q": q, "m": m, "n": n, "j": j}, n - 1, d, sides)
 
 
 def _side_cost(n: int) -> int:
@@ -400,7 +394,7 @@ def grid_prove(
     if variables is None:
         supported = sorted(k for k, r in IDENTITIES.items() if r.grid_variables)
         raise ParameterError(f"grid certification supports {supported}, got {identity!r}")
-    _require_n(n)
+    _require_natural(n, "n")
     if offsets is None:
         offsets = (0,) * len(variables)
     if len(offsets) != len(variables):

@@ -340,6 +340,8 @@ def _class_length(p: int, k: int, m: int) -> int | None:
 
 
 def _class_cost(p: int, k: int, m: int) -> int:
+    if m < 0:
+        Grading(m)  # the grading's own error, raised before any report
     return _comb0(p - k * m, k) * max(1, p - m * k) + 1
 
 

@@ -539,6 +539,32 @@ def test_verify_huge_sweep_refused_without_full_walk(capsys):
     assert "cap" in err
 
 
+def test_verify_range_is_walked_lazily():
+    # 10^12 + 1 degrees: the estimate passes the cap near n = 310, long before
+    # the range could be held in memory
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rothe_lab.cli", "verify", "--identity", "rothe1",
+         "--x", "0", "--y", "0", "--z", "0", "--n", "0..1000000000000"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "exceeds the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_skipped_tuples_count_toward_the_cap(capsys):
+    # q = 0 puts every tuple out of kmx's domain: only the walk costs, one unit
+    # per tuple, so the sweep is refused after cap + 1 tuples
+    code, out, err = run(capsys, "verify", "--identity", "kmx", "--p", "0", "--q", "0",
+                         "--m", "0", "--n", "0..1000000000000", "--cap", "1000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: estimated work of at least 1001 exceeds the cap 1000;")
+
+
 # one small sweep per registry entry: (flags, checked, skipped); every entry
 # with a domain skips at least one tuple, counted by hand from its domain
 REGISTRY_SWEEPS = {
@@ -616,6 +642,13 @@ def test_verify_exit_code_edges(capsys):
                              "--x", "1", "--y", "1", "--z", "1", "--n=-1")
         assert (code, out) == (2, "")
         assert err == "error: n must be >= 0, got -1\n"
+    # the m = -1 tuples with p < 2 are out of domain, yet the grading refuses
+    # m = -1 before any report is printed
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "--identity", "invw", "--format", fmt,
+                             "--p", "0..3", "--k=-2", "--m=-1..0")
+        assert (code, out) == (2, "")
+        assert err == "error: grading parameter m must be >= 0, got -1\n"
 
 
 # one tuple per word-class identity whose words are one letter too long

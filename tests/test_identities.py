@@ -538,6 +538,16 @@ def test_gould_matches_reference(x, y, z, eps, n):
     same_report(check_gould(x, y, z, eps, n), VerificationReport.from_sides("gould", params, lhs, rhs))
 
 
+def convolution(a, b, z, n, lower=0):
+    """The binomial convolution
+    ``S_l(a, b; z, n) = sum_k C(a - k*z, k - l) * C(b + k*z, n - k)``, term by
+    term; every term vanishes, so the sum is zero, for ``n < l``."""
+    return sum(
+        (binom(a - k * z, k - lower) * binom(b + k * z, n - k) for k in range(n + 1)),
+        Fraction(0),
+    )
+
+
 @given(
     kernel_values_st,
     kernel_values_st,
@@ -546,23 +556,21 @@ def test_gould_matches_reference(x, y, z, eps, n):
     st.integers(min_value=0, max_value=2),
 )
 def test_convolution_matches_the_hand_written_sum(a, b, z, n, lower):
-    expected = sum(
-        (binom(a - k * z, k - lower) * binom(b + k * z, n - k) for k in range(n + 1)),
-        Fraction(0),
-    )
-    assert repr(identities._convolution(a, b, z, n, lower)) == repr(expected)
+    d, (A, B, Z) = identities._scaled(a=a, b=b, z=z)
+    numerator = identities._convolution_numerator(A, B, Z, n, lower, d)
+    assert repr(identities._side(numerator, n - lower, d)) == repr(convolution(a, b, z, n, lower))
 
 
 def test_off_by_one_convolution_is_caught(monkeypatch):
     # Both sides of gould and pqkm go through the shared convolution, so a
     # fault in it can shift both sides alike and still agree; kmx's right
     # side is the closed form C(p + q, n), which the fault cannot reach.
-    convolution = identities._convolution
+    numerator = identities._convolution_numerator
 
-    def lowered(a, b, z, n, lower=0):
-        return convolution(a, b, z, n, lower + 1)
+    def lowered(a, b, z, n, lower, d):
+        return numerator(a, b, z, n, lower + 1, d)
 
-    monkeypatch.setattr(identities, "_convolution", lowered)
+    monkeypatch.setattr(identities, "_convolution_numerator", lowered)
     reports = [
         check_kmx(p, q, m, n)
         for m, n in itertools.product(range(3), range(3))
@@ -570,6 +578,52 @@ def test_off_by_one_convolution_is_caught(monkeypatch):
         for q in range(1, 3)
     ]
     assert any(not rep.passed for rep in reports)
+
+
+def shift_reports(p, q, m, n):
+    """(report, reference) pairs of pqkm, kmx and kmpink at one point wherever
+    the checker takes it, the reference built from the hand-written convolution."""
+    params = {"p": p, "q": q, "m": m, "n": n}
+    lhs, rhs = convolution(p, q, m, n), convolution(p + 1, q - 1, m, n)
+    yield check_pqkm(**params), VerificationReport.from_sides("pqkm", params, lhs, rhs)
+    if isinstance(m, int) and m >= 0 and n >= 0 and shift_domain(p, q, m, n):
+        lhs = convolution(p, q, m, n) + sum(
+            (convolution(p + j - 1, q - j, m, n, 1) for j in range(1, m + 1)), Fraction(0)
+        )
+        reference = VerificationReport.from_sides("kmx", params, lhs, binom(p + q, n))
+        yield check_kmx(**params), reference
+    for j in (1, Fraction(3, 2), 2, Fraction(3), 4):
+        if j <= m:
+            lhs, rhs = convolution(p + j - 1, q - j, m, n, 1), convolution(p - 1, q, m, n, 1)
+            reference = VerificationReport.from_sides("kmpink", {**params, "j": j}, lhs, rhs)
+            yield check_kmpink(**params, j=j), reference
+
+
+def test_shift_checkers_match_the_hand_written_convolution():
+    # ints and Fractions (integral ones included), n from -2 to 4, and m
+    # rational where the identity allows it
+    ps = (-2, 0, 3, 5, Fraction(1, 2), Fraction(-7, 3), Fraction(4))
+    qs = (-1, 1, 2, Fraction(-1, 2), Fraction(5, 4))
+    ms = (0, 1, 2, 3, Fraction(3, 2), Fraction(2), Fraction(-5, 2))
+    count = 0
+    for p, q, m, n in itertools.product(ps, qs, ms, range(-2, 5)):
+        for report, reference in shift_reports(p, q, m, n):
+            same_report(report, reference)
+            count += 1
+    assert count > 2000
+
+
+@pytest.mark.parametrize(
+    "checker, args", [(check_pqkm, (3, 1, 1, 2)), (check_kmx, (3, 1, 1, 2)),
+                      (check_kmpink, (3, 1, 1, 2, 1))],
+)
+def test_shift_checkers_name_a_non_number_argument(checker, args):
+    assert checker(*args).passed
+    names = ("p", "q", "m", "n", "j")[: len(args)]
+    for i, name in enumerate(names):
+        for bad in ("3", 1.5, None, [1]):
+            with pytest.raises(ParameterError, match=rf"^{name} must be an int"):
+                checker(*args[:i], bad, *args[i + 1:])
 
 
 def merged_registry():
