@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, NoMatchError, NotInDomainError
-from .words import (
-    Grading, Word, _prefix_at_least, _prefix_length, _prefix_weights, b_count, prefix_weights,
-)
+from .words import Grading, Word, _prefix_at_least, _prefix_length, b_count, prefix_weights
 
 
 @dataclass(frozen=True)
@@ -109,16 +107,21 @@ def _check_shift_params(w: Word, p: int, q: int, g: Grading) -> None:
 def _shift(u: Word, v: Word, m: int) -> Word:
     """The shift of :func:`theorem1_forward` on the split ``u . v`` of an
     already checked word whose domain checks guarantee that ``y`` exists."""
-    # prefixes of rev(u + 'a') are a leading 'a' plus suffixes of u, so a
-    # weight-t prefix encodes a suffix of weight t - 1, the empty one included
-    match = _match(_prefix_weights(v, m), _prefix_weights("a" + u[::-1], m))
-    if match is None:
-        raise AssertionError("equal-weight prefixes must exist once the domain checks pass")
-    y_len = match.u_prefix_len
-    x_len = match.v_prefix_len - 1
-    y, v_rest = v[:y_len], v[y_len:]
-    u_rest, x = u[: len(u) - x_len], u[len(u) - x_len :]
-    return u_rest + y[::-1] + x[::-1] + v_rest
+    # y = v[:i] grows from the left and x = u[j:] from the right, always on
+    # the lighter side of weight(y) = weight(x) + 1, so both stay minimal and
+    # the walk stops at the first nonempty y that balances
+    i = wy = wx = 0
+    j = len(u)
+    while wy != wx + 1:
+        if wy <= wx and i < len(v):
+            wy += m + 1 if v[i] == "b" else 1
+            i += 1
+        elif wy > wx and j > 0:
+            j -= 1
+            wx += m + 1 if u[j] == "b" else 1
+        else:
+            raise AssertionError("equal-weight prefixes must exist once the domain checks pass")
+    return u[:j] + v[:i][::-1] + u[j:][::-1] + v[i:]
 
 
 def theorem1_forward(w: Word, p: int, q: int, g: Grading) -> Word:

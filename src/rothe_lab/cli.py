@@ -137,10 +137,15 @@ def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
     domain, word_length = record.domain, record.word_length
 
-    # estimate the work up front, one unit per skipped tuple, stopping at the
-    # first tuple that breaches a cap; refuse the whole sweep on a breach
-    total_work = 0
-    for point in _points(record, values):
+    # estimate the work up front, at least one unit per tuple, stopping at the
+    # first tuple that breaches a cap; refuse the whole sweep on a breach. With
+    # every variable given (each pool a step-1 range or one value), the tuple
+    # count alone can breach the cap unwalked; a defaulted pool may be empty
+    tuples = 0
+    if len(values) == len(record.order):
+        tuples = math.prod(int(pool[-1] - pool[0]) + 1 for pool in values.values())
+    total_work = tuples if tuples > cap else 0
+    for point in () if total_work else _points(record, values):
         inside = domain is None or domain(*point)
         if inside and word_length is not None:
             length = word_length(*point)
@@ -149,12 +154,14 @@ def cmd_verify(args) -> int:
                     f"tuple {dict(zip(record.order, point))} enumerates words of length "
                     f"{length}, beyond the length cap {words.MAX_WORD_LENGTH}"
                 )
-        total_work += record.cost(*point) if inside else 1
+        total_work += max(record.cost(*point), 1) if inside else 1
         if total_work > cap:
-            raise UsageError(
-                f"estimated work of at least {total_work} exceeds the cap {cap}; "
-                f"narrow the ranges or raise --cap / ${CAP_ENV_VAR}"
-            )
+            break
+    if total_work > cap:
+        raise UsageError(
+            f"estimated work of at least {total_work} exceeds the cap {cap}; "
+            f"narrow the ranges or raise --cap / ${CAP_ENV_VAR}"
+        )
 
     checked = failed = skipped = 0
     for point in _points(record, values):

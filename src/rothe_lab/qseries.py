@@ -22,7 +22,7 @@ from operator import add, sub
 
 from .errors import ParameterError, UnsupportedArgumentError
 from .identities import Identity, VerificationReport, shift_domain
-from .words import MAX_WORD_LENGTH, Grading, enumerate_gamma, inversions
+from .words import MAX_WORD_LENGTH, Grading, _b_positions
 
 
 class LaurentPolynomial:
@@ -322,11 +322,14 @@ def inv_generating_function(
     p: int, k: int, g: Grading, *, max_length: int = MAX_WORD_LENGTH
 ) -> LaurentPolynomial:
     """Sum of ``q ** inversions(w)`` over all words of weight ``p`` with ``k``
-    letters ``b``, by brute-force enumeration."""
-    counts: Counter[int] = Counter()
-    for w in enumerate_gamma(p, k, g, max_length=max_length):
-        counts[inversions(w)] += 1
-    return LaurentPolynomial(counts)
+    letters ``b``, by brute-force enumeration of their b-positions: the
+    ``t``-th ``b`` of a length-``L`` word, at index ``i_t``, precedes
+    ``L - 1 - i_t`` letters, ``k - 1 - t`` of them ``b``, so the word has
+    ``k(L-1) - k(k-1)/2 - sum_t i_t`` inversions."""
+    length, members = _b_positions(p, k, g, max_length)
+    top = k * (length - 1) - k * (k - 1) // 2
+    counts = Counter(map(sum, members))
+    return LaurentPolynomial({top - s: c for s, c in counts.items()})
 
 
 def _comb0(n: int, k: int) -> int:
@@ -348,7 +351,8 @@ def _class_cost(p: int, k: int, m: int) -> int:
 def check_cardinality(p: int, k: int, m: int) -> VerificationReport:
     """Class size oracle: enumeration finds ``C(p - k*m, k)`` words of weight
     ``p`` with ``k`` letters ``b`` (none when a letter count is negative)."""
-    count = len(enumerate_gamma(p, k, Grading(m)))
+    _, members = _b_positions(p, k, Grading(m), MAX_WORD_LENGTH)
+    count = sum(1 for _ in members)
     return VerificationReport.from_sides(
         "cardinality",
         {"p": p, "k": k, "m": m},

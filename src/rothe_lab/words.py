@@ -10,6 +10,7 @@ exactly ``k`` letters ``b``, in lexicographic order (``a`` before ``b``).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import CapExceededError
@@ -38,26 +39,22 @@ class Grading:
         raise ValueError(f"letter {letter!r} is not 'a' or 'b'")
 
 
-def _check_word(w: Word) -> None:
-    if w.count("a") + w.count("b") != len(w):
+def _check_word(w: Word) -> int:
+    """The number of letters ``b`` in ``w``, once every letter is checked."""
+    n = w.count("b")
+    if w.count("a") + n != len(w):
         raise ValueError(f"word {w!r} contains letters other than 'a'/'b'")
+    return n
 
 
 def b_count(w: Word) -> int:
     """Number of letters ``b`` in ``w``."""
-    _check_word(w)
-    return w.count("b")
+    return _check_word(w)
 
 
 def weight(w: Word, g: Grading) -> int:
     """Total weight of ``w``: one per letter plus ``m`` per ``b``."""
-    _check_word(w)
-    return len(w) + g.m * w.count("b")
-
-
-def _prefix_weights(w: Word, m: int) -> list[int]:
-    """:func:`prefix_weights` of an already checked word."""
-    return list(itertools.accumulate(m + 1 if letter == "b" else 1 for letter in w))
+    return len(w) + g.m * _check_word(w)
 
 
 def _prefix_at_least(w: Word, r: int, m: int) -> tuple[int, int]:
@@ -83,7 +80,7 @@ def prefix_weights(w: Word, g: Grading) -> list[int]:
     its last entry (when ``w`` is nonempty) equals ``weight(w, g)``.
     """
     _check_word(w)
-    return _prefix_weights(w, g.m)
+    return list(itertools.accumulate(g.m + 1 if letter == "b" else 1 for letter in w))
 
 
 def prefix_length_of_weight(w: Word, r: int, g: Grading) -> int | None:
@@ -101,6 +98,23 @@ def has_prefix_of_weight(w: Word, r: int, g: Grading) -> bool:
     return prefix_length_of_weight(w, r, g) is not None
 
 
+def _b_positions(
+    p: int, k: int, g: Grading, max_length: int
+) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The word length of :func:`enumerate_gamma`'s class and its words as
+    the sorted tuples of their b-indices, in lex order of the tuples; ``(0,
+    ())`` when a letter count is negative. Raises :class:`CapExceededError`
+    if the word length would exceed ``max_length``."""
+    if k < 0 or p - (g.m + 1) * k < 0:
+        return 0, iter(())
+    length = p - g.m * k
+    if length > max_length:
+        raise CapExceededError(
+            f"enumerating words of length {length} exceeds the cap of {max_length}"
+        )
+    return length, itertools.combinations(range(length), k)
+
+
 def enumerate_gamma(
     p: int, k: int, g: Grading, *, max_length: int = MAX_WORD_LENGTH
 ) -> list[Word]:
@@ -110,19 +124,10 @@ def enumerate_gamma(
     the class is empty when the letter counts go negative. Raises
     :class:`CapExceededError` if the word length would exceed ``max_length``.
     """
-    if k < 0:
-        return []
-    a_count = p - (g.m + 1) * k
-    if a_count < 0:
-        return []
-    length = a_count + k
-    if length > max_length:
-        raise CapExceededError(
-            f"enumerating words of length {length} exceeds the cap of {max_length}"
-        )
+    length, members = _b_positions(p, k, g, max_length)
     base = ["a"] * length
     out: list[Word] = []
-    for positions in itertools.combinations(range(length), k):
+    for positions in members:
         chars = base.copy()
         for i in positions:
             chars[i] = "b"

@@ -46,6 +46,29 @@ def reference_inverse(w, p, g):
     return u_rest + t[::-1] + s[::-1] + v_rest
 
 
+def reference_shift(u, v, m):
+    """The shift as a two-pointer merge of the prefix-weight lists of ``v``
+    and of ``'a' + rev(u)``: a weight-``t`` prefix of the latter encodes a
+    suffix of ``u`` of weight ``t - 1``, the empty one included."""
+    g = Grading(m)
+    match = bijections._match(prefix_weights(v, g), prefix_weights("a" + u[::-1], g))
+    if match is None:
+        raise AssertionError("equal-weight prefixes must exist once the domain checks pass")
+    y_len = match.u_prefix_len
+    x_len = match.v_prefix_len - 1
+    y, v_rest = v[:y_len], v[y_len:]
+    u_rest, x = u[: len(u) - x_len], u[len(u) - x_len :]
+    return u_rest + y[::-1] + x[::-1] + v_rest
+
+
+def outcome(apply, *args):
+    """The result of ``apply(*args)``, or the type and message it raised."""
+    try:
+        return apply(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def reference_factorize(w, p, g):
     """Shortest prefix of weight at least ``p`` by a letter-by-letter sum;
     ``None`` when the whole word weighs less than ``p``."""
@@ -172,6 +195,38 @@ def test_theorem1_inverse_matches_reference():
                             assert theorem1_inverse(w, p, q, g) == reference_inverse(w, p, g)
                             checked += 1
     assert checked > 0
+
+
+def test_shift_walk_matches_reference():
+    # every split, the ones without equal-weight prefixes included
+    for m in range(4):
+        for u in all_words(5):
+            for v in all_words(5):
+                assert outcome(bijections._shift, u, v, m) == outcome(reference_shift, u, v, m)
+
+
+def test_theorem1_maps_match_reference(monkeypatch):
+    # every word up to length 10, at every p with the q that fits its weight,
+    # plus words with a foreign letter; the reference rejects those itself
+    cases = []
+    for m in range(4):
+        g = Grading(m)
+        for w in [*all_words(10), "c", "abc", "bca", "abab?", "bbac"]:
+            n, total = w.count("b"), len(w) + m * w.count("b")
+            cases += [(w, p, total - p - m * n, g) for p in range(-1, total + 2)]
+
+    def reference(apply, w, p, q, g):
+        if set(w) - {"a", "b"}:
+            return ValueError, f"word {w!r} contains letters other than 'a'/'b'"
+        return outcome(apply, w, p, q, g)
+
+    for apply in (theorem1_forward, theorem1_inverse):
+        got = [outcome(apply, *case) for case in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(bijections, "_shift", reference_shift)
+            want = [reference(apply, *case) for case in cases]
+        assert got == want
+        assert sum(isinstance(out, str) for out in got) > 10_000
 
 
 def test_prefix_scan_matches_reference():

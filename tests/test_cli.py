@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -540,8 +541,8 @@ def test_verify_huge_sweep_refused_without_full_walk(capsys):
 
 
 def test_verify_range_is_walked_lazily():
-    # 10^12 + 1 degrees: the estimate passes the cap near n = 310, long before
-    # the range could be held in memory
+    # 10^12 + 1 degrees, refused from the tuple count alone: the range is
+    # never held in memory
     import subprocess
     import sys
 
@@ -557,12 +558,56 @@ def test_verify_range_is_walked_lazily():
 
 
 def test_verify_skipped_tuples_count_toward_the_cap(capsys):
-    # q = 0 puts every tuple out of kmx's domain: only the walk costs, one unit
-    # per tuple, so the sweep is refused after cap + 1 tuples
-    code, out, err = run(capsys, "verify", "--identity", "kmx", "--p", "0", "--q", "0",
-                         "--m", "0", "--n", "0..1000000000000", "--cap", "1000")
+    # q = 0 puts 11 tuples out of kmx's domain, one unit each; the 11 tuples
+    # at q = 1 cost (n + 1)^2 each, 506 units in all
+    argv = ["verify", "--identity", "kmx", "--p", "0", "--q", "0..1", "--m", "0",
+            "--n", "0..10"]
+    code, out, err = run(capsys, *argv, "--cap", "516")
     assert (code, out) == (2, "")
-    assert err.startswith("error: estimated work of at least 1001 exceeds the cap 1000;")
+    assert err.startswith("error: estimated work of at least 517 exceeds the cap 516;")
+    code, out, _ = run(capsys, *argv, "--cap", "517")
+    assert code == 0 and out.endswith("11 checked, 0 failed, 11 skipped\n")
+
+
+def test_verify_refuses_more_tuples_than_the_cap_unwalked(capsys):
+    # every tuple costs at least one unit, so 10^12 + 1 tuples breach the cap
+    # whether in the domain or not; the count is quoted without a walk
+    for q in ("0", "1"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--identity", "kmx", "--p", "0", "--q", q,
+                             "--m", "0", "--n", "0..1000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: estimated work of at least 1000000000001 exceeds the cap 10000000;"
+        )
+    # a defaulted variable may be empty, so such a sweep is walked: kmpink's
+    # j defaults to 1..m, none at m = 0, so these 10 given values make no tuple
+    code, out, _ = run(capsys, "verify", "--identity", "kmpink", "--p", "0..9", "--q", "1",
+                       "--m", "0", "--n", "0", "--cap", "5")
+    assert (code, out) == (0, "0 checked, 0 failed\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("flags", [
+    ["--identity", "kmx", "--p", "0", "--q", "1", "--m=-1"],
+    ["--identity", "kmx", "--p", "0", "--q", "1", "--m=-2"],
+    ["--identity", "qchu", "--x", "0", "--y", "1", "--m=-2"],
+    ["--identity", "qword", "--p", "0", "--q", "1", "--m=-2"],
+], ids=["kmx-m1", "kmx-m2", "qchu-m2", "qword-m2"])
+def test_verify_negative_grading_sweep_is_refused(flags, fmt):
+    # these tuples are priced at <= 0 units; each still costs one
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rothe_lab.cli", "verify", *flags, "--n", "0..1000000000000",
+         "--format", fmt],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "exceeds the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # one small sweep per registry entry: (flags, checked, skipped); every entry

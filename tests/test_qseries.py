@@ -1,13 +1,18 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rothe_lab import (
+    MAX_WORD_LENGTH,
+    CapExceededError,
     Grading,
     LaurentPolynomial,
     ParameterError,
     UnsupportedArgumentError,
+    check_cardinality,
     check_invw,
     check_qchu,
     check_qchu_m1,
@@ -173,6 +178,57 @@ def test_inv_generating_function_examples():
     assert inv_generating_function(5, 2, Grading(1)) == LaurentPolynomial(
         {0: 1, 1: 1, 2: 1}
     )
+
+
+def reference_inv_gf(p, k, g, *, max_length=MAX_WORD_LENGTH):
+    """The inversion generating function word by word, over the strings."""
+    counts = Counter()
+    for w in enumerate_gamma(p, k, g, max_length=max_length):
+        counts[inversions(w)] += 1
+    return LaurentPolynomial(counts)
+
+
+def test_inv_generating_function_matches_reference():
+    # every class with m <= 3 and word length <= 14
+    for m in range(4):
+        g = Grading(m)
+        for length in range(15):
+            for k in range(length + 1):
+                p = length + m * k
+                assert inv_generating_function(p, k, g) == reference_inv_gf(p, k, g)
+    # empty classes: k < 0, or too few letters for k letters b
+    for m in range(4):
+        for p in range(-2, 7):
+            for k in range(-2, 5):
+                assert inv_generating_function(p, k, Grading(m)) == reference_inv_gf(
+                    p, k, Grading(m)
+                ), (p, k, m)
+
+
+@pytest.mark.parametrize("p, k, m, max_length", [
+    (27, 0, 0, MAX_WORD_LENGTH), (40, 5, 2, MAX_WORD_LENGTH), (9, 2, 1, 6), (7, 7, 0, 6),
+])
+def test_inv_generating_function_cap_matches_reference(p, k, m, max_length):
+    with pytest.raises(CapExceededError) as got:
+        inv_generating_function(p, k, Grading(m), max_length=max_length)
+    with pytest.raises(CapExceededError) as want:
+        reference_inv_gf(p, k, Grading(m), max_length=max_length)
+    assert str(got.value) == str(want.value)
+
+
+def test_word_class_oracles_hold_no_class():
+    # the 705,432 words of C(22, 11) take about 50 MB as a list of strings
+    tracemalloc.start()
+    try:
+        rhs = gaussian_binomial(22, 11)
+        tracemalloc.reset_peak()
+        assert inv_generating_function(22, 11, Grading(0)) == rhs
+        assert tracemalloc.get_traced_memory()[1] < 5_000_000
+        tracemalloc.reset_peak()
+        assert check_cardinality(22, 11, 0).passed
+        assert tracemalloc.get_traced_memory()[1] < 5_000_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_check_invw_examples():
