@@ -5,6 +5,9 @@ carry words that have a prefix of weight ``p`` to words that have a prefix of
 weight ``p + 1``, preserving total weight and b-count. The factorization maps
 (``decompose`` / ``compose``) split a word at its shortest prefix of weight at
 least ``p``, sorting it into one of two branches.
+
+The domain checks guarantee the splits that the maps look for; should one be
+missing, a map raises :class:`NoMatchError`, a library bug, not a bad argument.
 """
 
 from __future__ import annotations
@@ -12,16 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, NoMatchError, NotInDomainError
-from .words import Grading, Word, _prefix_at_least, _prefix_length, b_count, prefix_weights
-
-
-@dataclass(frozen=True)
-class PrefixMatch:
-    """Nonempty prefixes of two words sharing the same (minimal) weight."""
-
-    u_prefix_len: int
-    v_prefix_len: int
-    common_weight: int
+from .words import Grading, Word, _prefix_at_least, _prefix_length, b_count
 
 
 @dataclass(frozen=True)
@@ -46,35 +40,6 @@ class BranchB:
 
 
 Decomposition = BranchA | BranchB
-
-
-def _match(wu: list[int], wv: list[int]) -> PrefixMatch | None:
-    """Two-pointer merge over two strictly increasing prefix-weight lists."""
-    i = j = 0
-    while i < len(wu) and j < len(wv):
-        if wu[i] == wv[j]:
-            return PrefixMatch(i + 1, j + 1, wu[i])
-        if wu[i] < wv[j]:
-            i += 1
-        else:
-            j += 1
-    return None
-
-
-def equal_weight_prefixes(u: Word, v: Word, g: Grading) -> PrefixMatch:
-    """Find nonempty prefixes of ``u`` and ``v`` of equal, minimal weight.
-
-    Two-pointer merge over the strictly increasing prefix-weight sequences,
-    O(|u| + |v|). A match is guaranteed whenever both words have weight at
-    least ``m * n + 1`` with ``n = b_count(u + v)``; :class:`NoMatchError` is
-    raised otherwise and signals a caller bug inside the bijections.
-    """
-    match = _match(prefix_weights(u, g), prefix_weights(v, g))
-    if match is None:
-        raise NoMatchError(
-            f"words {u!r} and {v!r} have no nonempty prefixes of equal weight (m={g.m})"
-        )
-    return match
 
 
 def _split_at_weight(w: Word, r: int, m: int) -> tuple[Word, Word]:
@@ -120,7 +85,10 @@ def _shift(u: Word, v: Word, m: int) -> Word:
             j -= 1
             wx += m + 1 if u[j] == "b" else 1
         else:
-            raise AssertionError("equal-weight prefixes must exist once the domain checks pass")
+            raise NoMatchError(
+                f"no prefix y of {v!r} and suffix x of {u!r} with "
+                f"weight(y) = weight(x) + 1 (m={m})"
+            )
     return u[:j] + v[:i][::-1] + u[j:][::-1] + v[i:]
 
 
@@ -180,7 +148,8 @@ def decompose(w: Word, p: int, q: int, g: Grading) -> Decomposition:
     if acc == p:
         return BranchA(w)
     # the letter that crossed the target weighs more than 1, so it is a 'b'
-    assert w[cut - 1] == "b", "overshoot requires a final b"
+    if w[cut - 1] != "b":
+        raise NoMatchError(f"word {w!r} overshoots weight {p} on an 'a' at index {cut - 1}")
     u_prime = w[: cut - 1]
     return BranchB(j=acc - p, k=u_prime.count("b") + 1, u_prime=u_prime, v=w[cut:])
 

@@ -71,17 +71,17 @@ def _parse_values(text: str, name: str, fractional: bool) -> Sequence:
         ) from None
 
 
-def _points(record: Identity, values: dict[str, Sequence]) -> Iterator[tuple]:
-    """Every tuple of a sweep, lazily and in sweep order; a variable left unset
-    ranges over its default, computed from the values before it. Each level
-    chains the levels below it, so a tuple costs no Python frame."""
+def _levels(record: Identity, values: dict[str, Sequence]) -> Iterator[tuple[tuple, Sequence]]:
+    """Every level of a sweep, lazily and in sweep order: the values of all but
+    the last variable, and the pool of the last. An unset variable ranges over
+    its default, computed from the values before it; that pool may be empty."""
     order = record.order
 
-    def rest(point: tuple, i: int) -> Iterator[tuple]:
+    def rest(point: tuple, i: int) -> Iterator[tuple[tuple, Sequence]]:
         name = order[i]
         pool = values[name] if name in values else record.defaults[name](*point)
         if i + 1 == len(order):
-            return map(point.__add__, zip(pool))
+            return iter(((point, pool),))
         return chain.from_iterable(rest((*point, value), i + 1) for value in pool)
 
     return rest((), 0)
@@ -137,24 +137,28 @@ def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
     domain, word_length = record.domain, record.word_length
 
-    # estimate the work up front, at least one unit per tuple, stopping at the
-    # first tuple that breaches a cap; refuse the whole sweep on a breach. With
-    # every variable given (each pool a step-1 range or one value), the tuple
-    # count alone can breach the cap unwalked; a defaulted pool may be empty
-    tuples = 0
-    if len(values) == len(record.order):
-        tuples = math.prod(int(pool[-1] - pool[0]) + 1 for pool in values.values())
+    # estimate the work up front, stopping at the first tuple that breaches a
+    # cap; refuse the whole sweep on a breach. A tuple or a level, empty or
+    # not, costs at least one unit. Only a last variable may be defaulted, so
+    # the given pools (step-1 ranges or one value) count tuples or levels, a
+    # lower bound on the work that alone can breach the cap unwalked
+    tuples = math.prod(int(pool[-1] - pool[0]) + 1 for pool in values.values())
     total_work = tuples if tuples > cap else 0
-    for point in () if total_work else _points(record, values):
-        inside = domain is None or domain(*point)
-        if inside and word_length is not None:
-            length = word_length(*point)
-            if length is not None and length > words.MAX_WORD_LENGTH:
-                raise UsageError(
-                    f"tuple {dict(zip(record.order, point))} enumerates words of length "
-                    f"{length}, beyond the length cap {words.MAX_WORD_LENGTH}"
-                )
-        total_work += max(record.cost(*point), 1) if inside else 1
+    for prefix, pool in () if total_work else _levels(record, values):
+        if not pool:
+            total_work += 1
+        for point in map(prefix.__add__, zip(pool)):
+            inside = domain is None or domain(*point)
+            if inside and word_length is not None:
+                length = word_length(*point)
+                if length is not None and length > words.MAX_WORD_LENGTH:
+                    raise UsageError(
+                        f"tuple {dict(zip(record.order, point))} enumerates words of "
+                        f"length {length}, beyond the length cap {words.MAX_WORD_LENGTH}"
+                    )
+            total_work += max(record.cost(*point), 1) if inside else 1
+            if total_work > cap:
+                break
         if total_work > cap:
             break
     if total_work > cap:
@@ -164,7 +168,8 @@ def cmd_verify(args) -> int:
         )
 
     checked = failed = skipped = 0
-    for point in _points(record, values):
+    points = (map(prefix.__add__, zip(pool)) for prefix, pool in _levels(record, values))
+    for point in chain.from_iterable(points):
         if domain is not None and not domain(*point):
             skipped += 1
             continue
@@ -213,14 +218,14 @@ def cmd_enumerate(args) -> int:
 # bijection
 
 
-def _theorem1_line(w: str, out: str, args, listing: bool) -> str:
+def _theorem1_line(w: str, out: str, args) -> str:
     if args.format == "json":
         params = {"p": args.p, "q": args.q, "m": args.m, "n": args.n}
         return json.dumps({"input": w, "output": out, **params})
     return f"{_fmt_word(w)} → {_fmt_word(out)}"
 
 
-def _factorize_line(w: str, d: bijections.Decomposition, args, listing: bool) -> str:
+def _factorize_line(w: str, d: bijections.Decomposition, args) -> str:
     if args.format == "json":
         record: dict = {"input": w, "p": args.p, "q": args.q, "m": args.m, "n": args.n}
         if isinstance(d, bijections.BranchA):
@@ -232,7 +237,7 @@ def _factorize_line(w: str, d: bijections.Decomposition, args, listing: bool) ->
         text = f"BranchA w={_fmt_word(d.w)}"
     else:
         text = f"BranchB j={d.j} k={d.k} u'={_fmt_word(d.u_prime)} v={_fmt_word(d.v)}"
-    return f"{_fmt_word(w)}: {text}" if listing else text
+    return f"{_fmt_word(w)}: {text}" if args.all else text
 
 
 def cmd_bijection(args) -> int:
@@ -256,7 +261,7 @@ def cmd_bijection(args) -> int:
             apply, undo = undo, apply
         line = _theorem1_line
     if args.word is not None:
-        print(line(args.word, apply(args.word, args.p, args.q, g), args, False))
+        print(line(args.word, apply(args.word, args.p, args.q, g), args))
         return 0
 
     bijections._check_domain(args.p, args.q, g.m, args.n)
@@ -271,7 +276,7 @@ def cmd_bijection(args) -> int:
     images = set()
     for w in domain:
         image = apply(w, args.p, args.q, g)
-        print(line(w, image, args, True))
+        print(line(w, image, args))
         if image in images:
             problems.append(f"repeated image for {w}")
         images.add(image)

@@ -10,11 +10,10 @@ class CapExceededError(RotheLabError):
 
 
 class NoMatchError(RotheLabError):
-    """No pair of equal-weight nonempty prefixes exists.
-
-    Only reachable when the matcher's weight hypotheses are violated, so
-    inside the bijections it signals a caller bug.
-    """
+    """A bijection found no split where its domain checks guarantee one: no
+    prefix ``y`` balancing a suffix ``x`` in the prefix shift, or an overshoot
+    on an ``a`` in ``decompose``. Reachable only if those checks are wrong, so
+    it signals a library bug."""
 
 
 class NotInDomainError(RotheLabError, ValueError):

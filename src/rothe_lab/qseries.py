@@ -22,7 +22,7 @@ from operator import add, sub
 
 from .errors import ParameterError, UnsupportedArgumentError
 from .identities import Identity, VerificationReport, shift_domain
-from .words import MAX_WORD_LENGTH, Grading, _b_positions
+from .words import MAX_WORD_LENGTH, Grading, _b_positions, _gamma_length
 
 
 class LaurentPolynomial:
@@ -80,10 +80,6 @@ class LaurentPolynomial:
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
 
     @classmethod
     def q_power(cls, exponent: int, coeff: int = 1) -> "LaurentPolynomial":
@@ -336,12 +332,6 @@ def _comb0(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _class_length(p: int, k: int, m: int) -> int | None:
-    """Length of the words of weight ``p`` with ``k`` letters ``b``, or
-    ``None`` when there are none."""
-    return None if p - (m + 1) * k < 0 else p - m * k
-
-
 def _class_cost(p: int, k: int, m: int) -> int:
     if m < 0:
         Grading(m)  # the grading's own error, raised before any report
@@ -492,14 +482,14 @@ IDENTITIES: dict[str, Identity] = {
         check=check_cardinality,
         order=("p", "k", "m"),
         cost=_class_cost,
-        word_length=_class_length,
+        word_length=_gamma_length,
     ),
     "invw": Identity(
         check=check_invw,
         order=("p", "k", "m"),
         domain=_invw_domain,
         cost=_class_cost,
-        word_length=_class_length,
+        word_length=_gamma_length,
     ),
     "qchu": Identity(
         check=check_qchu,
@@ -520,7 +510,7 @@ IDENTITIES: dict[str, Identity] = {
         cost=lambda p, q, m, n: _comb0(p + q, n) * max(1, p + q)
         + (n + 1) ** 2 * (m + 1)
         + 1,
-        word_length=lambda p, q, m, n: _class_length(p + q + m * n, n, m),
+        word_length=lambda p, q, m, n: _gamma_length(p + q + m * n, n, m),
     ),
 }
 """The q-identities and the word-class oracles by name; the rational and

@@ -39,22 +39,17 @@ class Grading:
         raise ValueError(f"letter {letter!r} is not 'a' or 'b'")
 
 
-def _check_word(w: Word) -> int:
-    """The number of letters ``b`` in ``w``, once every letter is checked."""
+def b_count(w: Word) -> int:
+    """Number of letters ``b`` in ``w``, once every letter is checked."""
     n = w.count("b")
     if w.count("a") + n != len(w):
         raise ValueError(f"word {w!r} contains letters other than 'a'/'b'")
     return n
 
 
-def b_count(w: Word) -> int:
-    """Number of letters ``b`` in ``w``."""
-    return _check_word(w)
-
-
 def weight(w: Word, g: Grading) -> int:
     """Total weight of ``w``: one per letter plus ``m`` per ``b``."""
-    return len(w) + g.m * _check_word(w)
+    return len(w) + g.m * b_count(w)
 
 
 def _prefix_at_least(w: Word, r: int, m: int) -> tuple[int, int]:
@@ -79,7 +74,7 @@ def prefix_weights(w: Word, g: Grading) -> list[int]:
     Letter weights are positive, so the sequence is strictly increasing and
     its last entry (when ``w`` is nonempty) equals ``weight(w, g)``.
     """
-    _check_word(w)
+    b_count(w)
     return list(itertools.accumulate(g.m + 1 if letter == "b" else 1 for letter in w))
 
 
@@ -89,7 +84,7 @@ def prefix_length_of_weight(w: Word, r: int, g: Grading) -> int | None:
     The empty prefix covers ``r == 0``. Prefix weights strictly increase, so
     the prefix is unique when it exists.
     """
-    _check_word(w)
+    b_count(w)
     return _prefix_length(w, r, g.m)
 
 
@@ -98,16 +93,22 @@ def has_prefix_of_weight(w: Word, r: int, g: Grading) -> bool:
     return prefix_length_of_weight(w, r, g) is not None
 
 
+def _gamma_length(p: int, k: int, m: int) -> int | None:
+    """Length ``p - m k`` of the words of weight ``p`` with ``k`` letters ``b``;
+    ``None`` when the class is empty: ``k < 0`` or ``p - (m + 1) k < 0``."""
+    return None if k < 0 or p - (m + 1) * k < 0 else p - m * k
+
+
 def _b_positions(
     p: int, k: int, g: Grading, max_length: int
 ) -> tuple[int, Iterator[tuple[int, ...]]]:
     """The word length of :func:`enumerate_gamma`'s class and its words as
     the sorted tuples of their b-indices, in lex order of the tuples; ``(0,
-    ())`` when a letter count is negative. Raises :class:`CapExceededError`
-    if the word length would exceed ``max_length``."""
-    if k < 0 or p - (g.m + 1) * k < 0:
+    ())`` when the class is empty. Raises :class:`CapExceededError` if the
+    word length would exceed ``max_length``."""
+    length = _gamma_length(p, k, g.m)
+    if length is None:
         return 0, iter(())
-    length = p - g.m * k
     if length > max_length:
         raise CapExceededError(
             f"enumerating words of length {length} exceeds the cap of {max_length}"
@@ -151,7 +152,7 @@ def enumerate_gamma_prefix(
 
 def inversions(w: Word) -> int:
     """Number of index pairs ``i < j`` with ``w[i] == 'b'`` and ``w[j] == 'a'``."""
-    _check_word(w)
+    b_count(w)
     seen_b = 0
     inv = 0
     for letter in w:
@@ -164,7 +165,7 @@ def inversions(w: Word) -> int:
 
 def reverse(w: Word) -> Word:
     """The word read right to left."""
-    _check_word(w)
+    b_count(w)
     return w[::-1]
 
 

@@ -1,4 +1,5 @@
 import itertools
+from typing import NamedTuple
 
 import pytest
 
@@ -9,12 +10,10 @@ from rothe_lab import (
     InvariantViolationError,
     NoMatchError,
     NotInDomainError,
-    PrefixMatch,
     b_count,
     compose,
     decompose,
     enumerate_gamma,
-    equal_weight_prefixes,
     factorize_at_least,
     has_prefix_of_weight,
     prefix_weights,
@@ -30,6 +29,40 @@ def all_words(max_len):
     for length in range(max_len + 1):
         for letters in itertools.product("ab", repeat=length):
             yield "".join(letters)
+
+
+class PrefixMatch(NamedTuple):
+    """Nonempty prefixes of two words sharing the same (minimal) weight."""
+
+    u_prefix_len: int
+    v_prefix_len: int
+    common_weight: int
+
+
+def _match(wu, wv):
+    """Two-pointer merge over two strictly increasing prefix-weight lists."""
+    i = j = 0
+    while i < len(wu) and j < len(wv):
+        if wu[i] == wv[j]:
+            return PrefixMatch(i + 1, j + 1, wu[i])
+        if wu[i] < wv[j]:
+            i += 1
+        else:
+            j += 1
+    return None
+
+
+def equal_weight_prefixes(u, v, g):
+    """Nonempty prefixes of ``u`` and ``v`` of equal, minimal weight, by a
+    two-pointer merge over their prefix-weight lists. A match is guaranteed
+    whenever both words weigh at least ``m * n + 1`` with ``n = b_count(u +
+    v)``; :class:`NoMatchError` is raised when there is none."""
+    match = _match(prefix_weights(u, g), prefix_weights(v, g))
+    if match is None:
+        raise NoMatchError(
+            f"words {u!r} and {v!r} have no nonempty prefixes of equal weight (m={g.m})"
+        )
+    return match
 
 
 def reference_inverse(w, p, g):
@@ -51,9 +84,11 @@ def reference_shift(u, v, m):
     and of ``'a' + rev(u)``: a weight-``t`` prefix of the latter encodes a
     suffix of ``u`` of weight ``t - 1``, the empty one included."""
     g = Grading(m)
-    match = bijections._match(prefix_weights(v, g), prefix_weights("a" + u[::-1], g))
+    match = _match(prefix_weights(v, g), prefix_weights("a" + u[::-1], g))
     if match is None:
-        raise AssertionError("equal-weight prefixes must exist once the domain checks pass")
+        raise NoMatchError(
+            f"no prefix y of {v!r} and suffix x of {u!r} with weight(y) = weight(x) + 1 (m={m})"
+        )
     y_len = match.u_prefix_len
     x_len = match.v_prefix_len - 1
     y, v_rest = v[:y_len], v[y_len:]

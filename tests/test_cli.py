@@ -571,21 +571,38 @@ def test_verify_skipped_tuples_count_toward_the_cap(capsys):
 
 def test_verify_refuses_more_tuples_than_the_cap_unwalked(capsys):
     # every tuple costs at least one unit, so 10^12 + 1 tuples breach the cap
-    # whether in the domain or not; the count is quoted without a walk
-    for q in ("0", "1"):
+    # whether in the domain or not; the count is quoted without a walk. So
+    # does every level: kmpink's j defaults to 1..m, empty at m = 0, yet each
+    # of the 10^12 + 1 levels costs a unit
+    for identity, q in [("kmx", "0"), ("kmx", "1"), ("kmpink", "0")]:
         start = time.perf_counter()
-        code, out, err = run(capsys, "verify", "--identity", "kmx", "--p", "0", "--q", q,
+        code, out, err = run(capsys, "verify", "--identity", identity, "--p", "0", "--q", q,
                              "--m", "0", "--n", "0..1000000000000")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err.startswith(
             "error: estimated work of at least 1000000000001 exceeds the cap 10000000;"
         )
-    # a defaulted variable may be empty, so such a sweep is walked: kmpink's
-    # j defaults to 1..m, none at m = 0, so these 10 given values make no tuple
-    code, out, _ = run(capsys, "verify", "--identity", "kmpink", "--p", "0..9", "--q", "1",
-                       "--m", "0", "--n", "0", "--cap", "5")
+    # these 10 given values make 10 empty levels and no tuple
+    argv = ["verify", "--identity", "kmpink", "--p", "0..9", "--q", "1", "--m", "0", "--n", "0"]
+    code, out, err = run(capsys, *argv, "--cap", "9")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: estimated work of at least 10 exceeds the cap 9;")
+    code, out, _ = run(capsys, *argv, "--cap", "10")
     assert (code, out) == (0, "0 checked, 0 failed\n")
+
+
+def test_verify_empty_levels_count_toward_the_cap(capsys):
+    # 10 levels, fewer than the cap, so the sweep is walked: the 5 at m = 0
+    # are empty and cost a unit each, the 5 at m = 1 hold j = 1 at
+    # 2 (n + 1)^2 units, 110 in all; without the empty levels 114 would run
+    argv = ["verify", "--identity", "kmpink", "--p", "0", "--q", "0", "--m", "0..1",
+            "--n", "0..4"]
+    code, out, err = run(capsys, *argv, "--cap", "114")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: estimated work of at least 115 exceeds the cap 114;")
+    code, out, _ = run(capsys, *argv, "--cap", "115")
+    assert code == 0 and out.endswith("5 checked, 0 failed\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -712,6 +729,50 @@ def test_verify_length_cap_refusal(capsys, identity, fmt):
     assert (code, out) == (2, "")
     assert err.startswith("error: tuple {")
     assert err.endswith("enumerates words of length 27, beyond the length cap 26\n")
+
+
+@pytest.mark.parametrize("identity", ["cardinality", "invw"])
+def test_verify_empty_class_is_no_length_cap_breach(capsys, identity):
+    # at k < 0 the class is empty, so it has no word length to refuse
+    code, out, err = run(capsys, "verify", "--identity", identity, "--p", "20", "--k=-1",
+                         "--m", "10")
+    assert (code, err) == (0, "")
+    assert out == f"{identity} p=20 k=-1 m=10: PASS 0\n1 checked, 0 failed\n"
+
+
+# each unreachable branch of a bijection, reached by replacing the check that
+# excludes it with the stand-in's source: the shift finds no balancing prefix,
+# the factorization overshoots on an 'a'
+BROKEN_INVARIANTS = {
+    "shift": ("_check_domain", "lambda p, q, m, n: None",
+              ["theorem1", "--p", "1", "--q", "0", "--m", "0", "--n", "0", "--word", "a"],
+              "no prefix y of '' and suffix x of 'a' with weight(y) = weight(x) + 1 (m=0)"),
+    "decompose": ("_prefix_at_least", "lambda w, r, m: (1, r + 1)",
+                  ["factorize", "--p", "1", "--q", "1", "--m", "1", "--n", "1", "--word", "ab"],
+                  "word 'ab' overshoots weight 1 on an 'a' at index 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INVARIANTS))
+def test_broken_bijection_invariant_exits_3(capsys, monkeypatch, case):
+    attr, stand_in, argv, message = BROKEN_INVARIANTS[case]
+    monkeypatch.setattr(cli.bijections, attr, eval(stand_in))
+    code, out, err = run(capsys, "bijection", *argv)
+    assert (code, out, err) == (3, "", f"internal error: {message}\n")
+
+
+def test_broken_bijection_invariant_exits_3_under_optimize():
+    # python -O strips assert statements; the raise must survive it
+    import subprocess
+    import sys
+
+    for attr, stand_in, argv, message in BROKEN_INVARIANTS.values():
+        script = (f"import sys; from rothe_lab import bijections, cli; "
+                  f"bijections.{attr} = {stand_in}; sys.exit(cli.main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-O", "-c", script, "bijection", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"internal error: {message}\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -657,9 +657,15 @@ def test_registry_word_length_matches_enumeration(name):
     for p, k, m in itertools.product(range(-1, 9), range(-1, 4), range(3)):
         listing = enumerate_gamma(p, k, Grading(m))
         length = record.word_length(p, k, m)
-        if k >= 0:
-            assert (length is None) == (listing == [])
+        assert (length is None) == (listing == [])
         assert all(len(w) == length for w in listing)
+
+
+def test_registry_defaults_only_the_last_variable():
+    # the sweep estimate counts the given pools as tuples or levels, a lower
+    # bound on its work only while no defaulted variable precedes a given one
+    for record in merged_registry().values():
+        assert set(record.defaults) <= set(record.order[-1:])
 
 
 def test_registry_grid_variables():
