@@ -135,13 +135,14 @@ def cmd_verify(args) -> int:
             raise UsageError(f"--{name} is required for identity '{args.identity}'")
         values[name] = _parse_values(raw, name, fractional=name in (record.grid_variables or ()))
     cap = _resolve_cap(args)
-    domain, word_length = record.domain, record.word_length
+    domain = record.domain
 
-    # estimate the work up front, stopping at the first tuple that breaches a
-    # cap; refuse the whole sweep on a breach. A tuple or a level, empty or
-    # not, costs at least one unit. Only a last variable may be defaulted, so
-    # the given pools (step-1 ranges or one value) count tuples or levels, a
-    # lower bound on the work that alone can breach the cap unwalked
+    # estimate the work up front, stopping at the first tuple that breaches
+    # the cap; refuse the whole sweep on a breach, or when a cost estimate
+    # raises its check's own refusal. A tuple or a level, empty or not, costs
+    # at least one unit. Only a last variable may be defaulted, so the given
+    # pools (step-1 ranges or one value) count tuples or levels, a lower bound
+    # on the work that alone can breach the cap unwalked
     tuples = math.prod(int(pool[-1] - pool[0]) + 1 for pool in values.values())
     total_work = tuples if tuples > cap else 0
     for prefix, pool in () if total_work else _levels(record, values):
@@ -149,13 +150,6 @@ def cmd_verify(args) -> int:
             total_work += 1
         for point in map(prefix.__add__, zip(pool)):
             inside = domain is None or domain(*point)
-            if inside and word_length is not None:
-                length = word_length(*point)
-                if length is not None and length > words.MAX_WORD_LENGTH:
-                    raise UsageError(
-                        f"tuple {dict(zip(record.order, point))} enumerates words of "
-                        f"length {length}, beyond the length cap {words.MAX_WORD_LENGTH}"
-                    )
             total_work += max(record.cost(*point), 1) if inside else 1
             if total_work > cap:
                 break
@@ -199,7 +193,7 @@ def cmd_enumerate(args) -> int:
     else:
         listing = words.enumerate_gamma_prefix(args.p, args.k, args.prefix_weight, g)
     length = args.p - args.k * args.m
-    predicted = math.comb(length, args.k) if 0 <= args.k <= length else 0
+    predicted = qseries._comb0(length, args.k)
     for w in listing:
         if args.format == "json":
             entry = words.word_json(w, g)

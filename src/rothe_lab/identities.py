@@ -87,9 +87,9 @@ class Identity:
     variables before it; ``domain`` is the precondition, outside which
     ``check`` raises :class:`ParameterError` and a sweep skips the tuple
     (``None`` when there is none); ``cost`` estimates the elementary
-    evaluations of one check; ``word_length`` gives the length of the words
-    the check enumerates, or ``None`` for an empty class (``None`` itself when
-    it enumerates nothing).
+    evaluations of one check inside the domain, or raises the error the check
+    itself would raise for the tuple before any work (a bad grading, a word
+    length beyond the cap), so that a sweep refuses before any report.
     """
 
     check: Callable[..., VerificationReport]
@@ -98,7 +98,6 @@ class Identity:
     sides: Callable[..., tuple[int, int]] | None = None
     defaults: Mapping[str, Callable[..., range]] = field(default_factory=dict)
     domain: Callable[..., bool] | None = None
-    word_length: Callable[..., int | None] | None = None
 
     @property
     def grid_variables(self) -> tuple[str, ...] | None:

@@ -22,7 +22,7 @@ from operator import add, sub
 
 from .errors import ParameterError, UnsupportedArgumentError
 from .identities import Identity, VerificationReport, shift_domain
-from .words import MAX_WORD_LENGTH, Grading, _b_positions, _gamma_length
+from .words import MAX_WORD_LENGTH, Grading, _b_positions
 
 
 class LaurentPolynomial:
@@ -333,8 +333,9 @@ def _comb0(n: int, k: int) -> int:
 
 
 def _class_cost(p: int, k: int, m: int) -> int:
-    if m < 0:
-        Grading(m)  # the grading's own error, raised before any report
+    """Price of walking the class of weight ``p`` with ``k`` letters ``b``; it
+    raises the grading's error for ``m < 0``, then the length cap's, as the walk would."""
+    _b_positions(p, k, Grading(m), MAX_WORD_LENGTH)
     return _comb0(p - k * m, k) * max(1, p - m * k) + 1
 
 
@@ -416,19 +417,10 @@ def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
     )
 
 
-def _qchu_m1_summands(x: int, y: int, n: int, k: int):
-    """The ``k``-th summand of the ``m = 1`` specialization as ``(shift,
-    left, right)`` triples."""
-    shift = k * (2 * k + y - n)
-    yield shift, gaussian_binomial(x - k, k), gaussian_binomial(y + k, n - k)
-    left = gaussian_binomial(x - k, k - 1)
-    if not left.is_zero():
-        yield shift - k, left, gaussian_binomial(y + k - 1, n - k)
-
-
 def qchu_m1_term(x: int, y: int, n: int, k: int) -> LaurentPolynomial:
-    """The ``k``-th summand of the ``m = 1`` specialization."""
-    return _sum_of_products(_qchu_m1_summands(x, y, n, k))
+    """The ``k``-th summand of the ``m = 1`` specialization,
+    ``qchu_term(x, y, 1, n, k)``."""
+    return qchu_term(x, y, 1, n, k)
 
 
 def _qchu_m1_domain(x: int, y: int, n: int) -> bool:
@@ -437,15 +429,13 @@ def _qchu_m1_domain(x: int, y: int, n: int) -> bool:
 
 def check_qchu_m1(x: int, y: int, n: int) -> VerificationReport:
     """``m = 1`` form: ``sum_k q^{k(2k+y-n)} ([x-k, k] [y+k, n-k]
-    + [x-k, k-1] [y+k-1, n-k] q^{-k}) == [x+y, n]``; term by term this is
+    + [x-k, k-1] [y+k-1, n-k] q^{-k}) == [x+y, n]``, the double sum of
     :func:`check_qchu` at ``m = 1``."""
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     if not _qchu_m1_domain(x, y, n):
         raise ParameterError(f"need x >= n and y >= 1, got x={x}, y={y}, n={n}")
-    lhs = _sum_of_products(
-        triple for k in range(n + 1) for triple in _qchu_m1_summands(x, y, n, k)
-    )
+    lhs = _qchu_sum(x, y, 1, n)
     rhs = gaussian_binomial(x + y, n)
     return VerificationReport.from_sides(
         "qchu-m1", {"x": x, "y": y, "n": n}, lhs, rhs
@@ -482,14 +472,12 @@ IDENTITIES: dict[str, Identity] = {
         check=check_cardinality,
         order=("p", "k", "m"),
         cost=_class_cost,
-        word_length=_gamma_length,
     ),
     "invw": Identity(
         check=check_invw,
         order=("p", "k", "m"),
         domain=_invw_domain,
         cost=_class_cost,
-        word_length=_gamma_length,
     ),
     "qchu": Identity(
         check=check_qchu,
@@ -507,10 +495,7 @@ IDENTITIES: dict[str, Identity] = {
         check=qweighted_bijection_check,
         order=("p", "q", "m", "n"),
         domain=shift_domain,
-        cost=lambda p, q, m, n: _comb0(p + q, n) * max(1, p + q)
-        + (n + 1) ** 2 * (m + 1)
-        + 1,
-        word_length=lambda p, q, m, n: _gamma_length(p + q + m * n, n, m),
+        cost=lambda p, q, m, n: _class_cost(p + q + m * n, n, m) + (n + 1) ** 2 * (m + 1),
     ),
 }
 """The q-identities and the word-class oracles by name; the rational and

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import shlex
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -727,8 +728,24 @@ def test_verify_length_cap_refusal(capsys, identity, fmt):
     code, out, err = run(capsys, "verify", "--identity", identity, "--format", fmt,
                          *LENGTH_CAP_BREACHES[identity])
     assert (code, out) == (2, "")
-    assert err.startswith("error: tuple {")
-    assert err.endswith("enumerates words of length 27, beyond the length cap 26\n")
+    assert err == "error: enumerating words of length 27 exceeds the cap of 26\n"
+
+
+# one tuple per word-class identity whose words would be too long, were m >= 0
+NEGATIVE_GRADINGS = {
+    "cardinality": ["--p=30", "--k=1", "--m=-1"],
+    "invw": ["--p=30", "--k=1", "--m=-1"],
+    "qword": ["--p=30", "--q=1", "--m=-1", "--n=1"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("identity", sorted(NEGATIVE_GRADINGS))
+def test_verify_negative_grading_refused_before_length_cap(capsys, identity, fmt):
+    code, out, err = run(capsys, "verify", "--identity", identity, "--format", fmt,
+                         *NEGATIVE_GRADINGS[identity])
+    assert (code, out) == (2, "")
+    assert err == "error: grading parameter m must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("identity", ["cardinality", "invw"])
@@ -798,6 +815,24 @@ def test_verify_help_lists_exactly_the_registry(capsys):
     text = " ".join(out.split())
     listed = text.split("one of: ", 1)[1].split(" --", 1)[0]
     assert listed.split(", ") == sorted(registry())
+
+
+def readme_cli_examples():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("rothe-lab ")]
+
+
+def test_readme_has_cli_examples():
+    # an empty parametrization would pass the test below silently
+    assert readme_cli_examples()
+
+
+@pytest.mark.parametrize("line", readme_cli_examples())
+def test_readme_cli_example_exits_0(capsys, line):
+    code, out, err = run(capsys, *shlex.split(line)[1:])
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_readme_lists_exactly_the_registry():

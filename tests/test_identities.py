@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rothe_lab import (
+    CapExceededError,
     Grading,
     ParameterError,
     VerificationReport,
@@ -651,14 +652,39 @@ def test_registry_domain_is_the_checker_precondition(name):
                 record.check(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["cardinality", "invw"])
-def test_registry_word_length_matches_enumeration(name):
+def refusal(call, *args):
+    """The type and message of the error ``call(*args)`` raises, else ``None``."""
+    try:
+        call(*args)
+    except (ValueError, CapExceededError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# each word-class identity's pools of values, and the class its check
+# enumerates; m runs over -1..2 and the word lengths over both sides of 26
+WORD_CLASS_POINTS = {
+    "cardinality": ((range(-1, 31), range(-1, 3), range(-1, 3)), lambda p, k, m: (p, k, m)),
+    "invw": ((range(-1, 31), range(-1, 3), range(-1, 3)), lambda p, k, m: (p, k, m)),
+    "qword": ((range(-1, 29), range(1, 3), range(-1, 3), range(-1, 3)),
+              lambda p, q, m, n: (p + q + m * n, n, m)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_CLASS_POINTS))
+def test_registry_cost_refuses_as_enumeration(name):
     record = merged_registry()[name]
-    for p, k, m in itertools.product(range(-1, 9), range(-1, 4), range(3)):
-        listing = enumerate_gamma(p, k, Grading(m))
-        length = record.word_length(p, k, m)
-        assert (length is None) == (listing == [])
-        assert all(len(w) == length for w in listing)
+    pools, word_class = WORD_CLASS_POINTS[name]
+    refusals = set()
+    for point in itertools.product(*pools):
+        weight, k, m = word_class(*point)
+        expected = refusal(lambda: enumerate_gamma(weight, k, Grading(m)))
+        if expected is None:
+            assert record.cost(*point) >= 1, point
+        else:
+            assert refusal(record.cost, *point) == expected, point
+            refusals.add(expected[0])
+    assert refusals == {ValueError, CapExceededError}
 
 
 def test_registry_defaults_only_the_last_variable():

@@ -271,16 +271,30 @@ def test_check_qchu_m1_examples():
     assert check_qchu_m1(3, 2, 2).passed
 
 
+def reference_qchu_m1_term(x: int, y: int, n: int, k: int) -> LaurentPolynomial:
+    """The ``k``-th summand of the ``m = 1`` form, written out by hand with the
+    schoolbook product: ``q^{k(2k+y-n)} ([x-k, k] [y+k, n-k]
+    + q^{-k} [x-k, k-1] [y+k-1, n-k])``."""
+    term = reference_mul(gaussian_binomial(x - k, k), gaussian_binomial(y + k, n - k))
+    lowered = reference_mul(gaussian_binomial(x - k, k - 1),
+                            gaussian_binomial(y + k - 1, n - k))
+    return (term + lowered.shift(-k)).shift(k * (2 * k + y - n))
+
+
 def test_qchu_m1_matches_general_term_by_term():
     for x in range(1, 6):
         for y in range(1, 5):
             for n in range(0, min(x, 4) + 1):
+                total = LaurentPolynomial.zero()
                 for k in range(n + 1):
-                    assert qchu_m1_term(x, y, n, k) == qchu_term(x, y, 1, n, k)
+                    expected = reference_qchu_m1_term(x, y, n, k)
+                    assert qchu_m1_term(x, y, n, k) == expected, (x, y, n, k)
+                    assert qchu_term(x, y, 1, n, k) == expected, (x, y, n, k)
+                    total = total + expected
                 general = check_qchu(x, y, 1, n)
                 special = check_qchu_m1(x, y, n)
                 assert general.passed and special.passed
-                assert general.lhs == special.lhs
+                assert general.lhs == special.lhs == total
 
 
 def test_qchu_lhs_is_plain_polynomial():
