@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolationError, NoMatchError, NotInDomainError
+from .identities import _require_shift_domain
 from .words import Grading, Word, _prefix_at_least, _prefix_length, b_count
 
 
@@ -49,24 +50,14 @@ def _split_at_weight(w: Word, r: int, m: int) -> tuple[Word, Word]:
     return w[:cut], w[cut:]
 
 
-def _check_domain(p: int, q: int, m: int, n: int) -> None:
-    """The parameter checks of both bijections on a class with ``n`` letters b."""
-    if p < m * n:
-        raise NotInDomainError(f"need p >= m*n, got p={p}, m={m}, n={n}")
-    if q < 1:
-        raise NotInDomainError(f"need q >= 1, got q={q}")
-
-
 def _check_shift_params(w: Word, p: int, q: int, g: Grading) -> None:
     """The domain checks shared by both bijections; the only place where
     their input word is validated."""
     n = b_count(w)
-    _check_domain(p, q, g.m, n)
-    total = p + q + g.m * n
-    if len(w) + g.m * n != total:
-        raise NotInDomainError(
-            f"word {w!r} has weight {len(w) + g.m * n}, expected {total}"
-        )
+    _require_shift_domain(p, q, g.m, n)
+    if len(w) != p + q:
+        extra = g.m * n  # the letters b add m*n to both weights
+        raise NotInDomainError(f"word {w!r} has weight {len(w) + extra}, expected {p + q + extra}")
 
 
 def _shift(u: Word, v: Word, m: int) -> Word:
@@ -177,8 +168,8 @@ def _check_branch_b(d: BranchB, p: int, q: int, g: Grading) -> None:
 def compose(d: Decomposition, p: int, q: int, g: Grading) -> Word:
     """Rebuild the word from a decomposition; inverse of :func:`decompose`."""
     if isinstance(d, BranchA):
-        n = b_count(d.w)
-        if len(d.w) + g.m * n != p + q + g.m * n:
+        b_count(d.w)  # validates every letter, not only those the scan reads
+        if len(d.w) != p + q:
             raise InvariantViolationError(
                 f"word {d.w!r} is not in the class for p={p}, q={q}, m={g.m}"
             )

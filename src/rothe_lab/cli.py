@@ -258,7 +258,7 @@ def cmd_bijection(args) -> int:
         print(line(args.word, apply(args.word, args.p, args.q, g), args))
         return 0
 
-    bijections._check_domain(args.p, args.q, g.m, args.n)
+    identities._require_shift_domain(args.p, args.q, g.m, args.n)
     domain = words.enumerate_gamma(args.p + args.q + g.m * args.n, args.n, g)
     codomain = None
     if args.kind == "theorem1":

@@ -16,16 +16,18 @@ class NoMatchError(RotheLabError):
     it signals a library bug."""
 
 
-class NotInDomainError(RotheLabError, ValueError):
-    """A word or parameter tuple lies outside a bijection's domain."""
+class ParameterError(RotheLabError, ValueError):
+    """An argument that a checker, a bijection or a grading refuses, such as a
+    negative degree or grading, a non-number or a tuple outside a precondition."""
+
+
+class NotInDomainError(ParameterError):
+    """A tuple outside the shift domain ``p >= m*n``, ``q >= 1`` of ``kmx``, q-Chu
+    and both bijections, or a word outside the class a bijection acts on."""
 
 
 class InvariantViolationError(RotheLabError, ValueError):
     """A decomposition's membership invariants do not hold."""
-
-
-class ParameterError(RotheLabError, ValueError):
-    """An identity checker was called with parameters outside its preconditions."""
 
 
 class UnsupportedArgumentError(RotheLabError, ValueError):

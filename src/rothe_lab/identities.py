@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import ParameterError
+from .errors import NotInDomainError, ParameterError
+from .words import Grading
 
 RationalLike = int | Fraction
 
@@ -86,10 +87,10 @@ class Identity:
     maps a variable that may be left unset to its range, computed from the
     variables before it; ``domain`` is the precondition, outside which
     ``check`` raises :class:`ParameterError` and a sweep skips the tuple
-    (``None`` when there is none); ``cost`` estimates the elementary
-    evaluations of one check inside the domain, or raises the error the check
-    itself would raise for the tuple before any work (a bad grading, a word
-    length beyond the cap), so that a sweep refuses before any report.
+    (``None`` when there is none); a domain also raises the check's argument
+    refusals, such as a negative degree, inside it or not; ``cost`` estimates
+    the elementary evaluations of one check inside the domain, or raises its
+    other refusals, such as the length cap. A sweep calls both before any check.
     """
 
     check: Callable[..., VerificationReport]
@@ -289,8 +290,20 @@ def _lowered_numerator(P: int, Q: int, M: int, J: int, n: int, d: int) -> int:
 
 
 def shift_domain(p: int, q: int, m: int, n: int) -> bool:
-    """The range ``p >= m*n``, ``q >= 1`` of the two-branch shift identities."""
+    """The domain ``p >= m*n``, ``q >= 1`` of ``kmx``, q-Chu and both word
+    bijections; a negative degree ``n`` or grading ``m`` is refused first."""
+    if n < 0 or m < 0:
+        _require_natural(n, "n")
+        Grading(m)  # raises the grading's refusal
     return p >= m * n and q >= 1
+
+
+def _require_shift_domain(p: int, q: int, m: int, n: int, names=("p", "q")) -> None:
+    """Raise :class:`NotInDomainError` outside :func:`shift_domain`; ``names``
+    are what its message calls ``p`` and ``q``."""
+    if not shift_domain(p, q, m, n):
+        a, b = names
+        raise NotInDomainError(f"need {a} >= m*n and {b} >= 1, got {a}={p}, {b}={q}, m={m}, n={n}")
 
 
 def check_kmx(p: int, q: int, m: int, n: int) -> VerificationReport:
@@ -298,11 +311,10 @@ def check_kmx(p: int, q: int, m: int, n: int) -> VerificationReport:
     ``S_0(p, q; m, n) + sum_{j=1}^{m} S_1(p + j - 1, q - j; m, n) == C(p + q, n)``,
     where ``S_1(a, b; m, n) = sum_k C(a - k*m, k - 1) * C(b + k*m, n - k)`` is
     the lowered convolution. Requires ``n, m >= 0``, ``p >= m*n`` and ``q >= 1``."""
-    _require_natural(n, "n")
-    _require_natural(m, "m")
+    _require_int(n, "n")
+    _require_int(m, "m")
     d, (P, Q, M) = _scaled(p=p, q=q, m=m)
-    if not shift_domain(p, q, m, n):
-        raise ParameterError(f"need p >= m*n and q >= 1, got p={p}, q={q}, m={m}, n={n}")
+    _require_shift_domain(p, q, m, n)
     # n * d lifts each lowered numerator from (n-1)! d**(n-1) to n! d**n
     lowered = sum(_lowered_numerator(P, Q, M, j * d, n, d) for j in range(1, m + 1))
     lhs = _convolution_numerator(P, Q, M, n, 0, d) + n * d * lowered

@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from .errors import ParameterError, UnsupportedArgumentError
-from .identities import Identity, VerificationReport, shift_domain
+from .identities import Identity, VerificationReport, _require_shift_domain, shift_domain
 from .words import MAX_WORD_LENGTH, Grading, _b_positions
 
 
@@ -353,6 +353,8 @@ def check_cardinality(p: int, k: int, m: int) -> VerificationReport:
 
 
 def _invw_domain(p: int, k: int, m: int) -> bool:
+    if m < 0:
+        Grading(m)  # raises the grading's refusal
     return p >= k * m
 
 
@@ -395,6 +397,18 @@ def _qchu_sum(x: int, y: int, m: int, n: int) -> LaurentPolynomial:
     )
 
 
+def _qchu_sides(x: int, y: int, m: int, n: int):
+    """The double sum and the closed form ``[x+y, n]`` inside the shift domain."""
+    _require_shift_domain(x, y, m, n, ("x", "y"))
+    return _qchu_sum(x, y, m, n), gaussian_binomial(x + y, n)
+
+
+def _qchu_cost(x: int, y: int, m: int, n: int) -> int:
+    """Work units of the two q-Chu sides: ``(n + 1)**2`` bracket products for
+    each ``j = 0..m``, and one for the closed form."""
+    return (n + 1) ** 2 * (m + 1) + 1
+
+
 def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
     """Double-sum extension of the q-Chu-Vandermonde formula:
 
@@ -404,17 +418,8 @@ def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
     Requires ``x >= m*n``, ``y >= 1`` and ``n >= 0``. The inner sum is empty
     at ``m = 0``, which leaves the classical q-Chu-Vandermonde sum.
     """
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    if m < 0:
-        raise ParameterError(f"m must be >= 0, got {m}")
-    if not shift_domain(x, y, m, n):
-        raise ParameterError(f"need x >= m*n and y >= 1, got x={x}, y={y}, m={m}, n={n}")
-    lhs = _qchu_sum(x, y, m, n)
-    rhs = gaussian_binomial(x + y, n)
-    return VerificationReport.from_sides(
-        "qchu", {"x": x, "y": y, "m": m, "n": n}, lhs, rhs
-    )
+    lhs, rhs = _qchu_sides(x, y, m, n)
+    return VerificationReport.from_sides("qchu", {"x": x, "y": y, "m": m, "n": n}, lhs, rhs)
 
 
 def qchu_m1_term(x: int, y: int, n: int, k: int) -> LaurentPolynomial:
@@ -423,23 +428,12 @@ def qchu_m1_term(x: int, y: int, n: int, k: int) -> LaurentPolynomial:
     return qchu_term(x, y, 1, n, k)
 
 
-def _qchu_m1_domain(x: int, y: int, n: int) -> bool:
-    return shift_domain(x, y, 1, n)
-
-
 def check_qchu_m1(x: int, y: int, n: int) -> VerificationReport:
     """``m = 1`` form: ``sum_k q^{k(2k+y-n)} ([x-k, k] [y+k, n-k]
     + [x-k, k-1] [y+k-1, n-k] q^{-k}) == [x+y, n]``, the double sum of
     :func:`check_qchu` at ``m = 1``."""
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    if not _qchu_m1_domain(x, y, n):
-        raise ParameterError(f"need x >= n and y >= 1, got x={x}, y={y}, n={n}")
-    lhs = _qchu_sum(x, y, 1, n)
-    rhs = gaussian_binomial(x + y, n)
-    return VerificationReport.from_sides(
-        "qchu-m1", {"x": x, "y": y, "n": n}, lhs, rhs
-    )
+    lhs, rhs = _qchu_sides(x, y, 1, n)
+    return VerificationReport.from_sides("qchu-m1", {"x": x, "y": y, "n": n}, lhs, rhs)
 
 
 def qweighted_bijection_check(
@@ -448,15 +442,10 @@ def qweighted_bijection_check(
     """Tie the word model to the algebra: the enumerated inversion generating
     function over the full weight class equals ``[p+q, n]`` and equals the
     structured double sum of :func:`check_qchu`."""
-    if m < 0 or n < 0:
-        raise ParameterError(f"need m, n >= 0, got m={m}, n={n}")
-    if not shift_domain(p, q, m, n):
-        raise ParameterError(f"need p >= m*n and q >= 1, got p={p}, q={q}, m={m}, n={n}")
-    enumerated = inv_generating_function(
-        p + q + m * n, n, Grading(m), max_length=max_length
-    )
-    bracket = gaussian_binomial(p + q, n)
-    structured = _qchu_sum(p, q, m, n)
+    # the domain is refused before the length cap, and the cap before any sum
+    _require_shift_domain(p, q, m, n)
+    enumerated = inv_generating_function(p + q + m * n, n, Grading(m), max_length=max_length)
+    structured, bracket = _qchu_sides(p, q, m, n)
     params = {"p": p, "q": q, "m": m, "n": n}
     if enumerated == bracket == structured:
         return VerificationReport("qword", params, enumerated, bracket, "pass")
@@ -483,19 +472,20 @@ IDENTITIES: dict[str, Identity] = {
         check=check_qchu,
         order=("x", "y", "m", "n"),
         domain=shift_domain,
-        cost=lambda x, y, m, n: (n + 1) ** 2 * (m + 1) + 1,
+        cost=_qchu_cost,
     ),
     "qchu-m1": Identity(
         check=check_qchu_m1,
         order=("x", "y", "n"),
-        domain=_qchu_m1_domain,
-        cost=lambda x, y, n: 2 * (n + 1) ** 2 + 1,
+        domain=lambda x, y, n: shift_domain(x, y, 1, n),
+        cost=lambda x, y, n: _qchu_cost(x, y, 1, n),
     ),
     "qword": Identity(
         check=qweighted_bijection_check,
         order=("p", "q", "m", "n"),
         domain=shift_domain,
-        cost=lambda p, q, m, n: _class_cost(p + q + m * n, n, m) + (n + 1) ** 2 * (m + 1),
+        # both prices hold one unit for the closed form [p + q, n]
+        cost=lambda p, q, m, n: _class_cost(p + q + m * n, n, m) + _qchu_cost(p, q, m, n) - 1,
     ),
 }
 """The q-identities and the word-class oracles by name; the rational and

@@ -13,7 +13,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ParameterError
 
 Word = str
 
@@ -29,7 +29,7 @@ class Grading:
 
     def __post_init__(self) -> None:
         if self.m < 0:
-            raise ValueError(f"grading parameter m must be >= 0, got {self.m}")
+            raise ParameterError(f"grading parameter m must be >= 0, got {self.m}")
 
     def letter_weight(self, letter: str) -> int:
         if letter == "a":

@@ -614,7 +614,8 @@ def test_verify_empty_levels_count_toward_the_cap(capsys):
     ["--identity", "qword", "--p", "0", "--q", "1", "--m=-2"],
 ], ids=["kmx-m1", "kmx-m2", "qchu-m2", "qword-m2"])
 def test_verify_negative_grading_sweep_is_refused(flags, fmt):
-    # these tuples are priced at <= 0 units; each still costs one
+    # more tuples than the cap: the sweep is refused from their count alone,
+    # before any tuple is looked at
     import subprocess
     import sys
 
@@ -748,6 +749,28 @@ def test_verify_negative_grading_refused_before_length_cap(capsys, identity, fmt
     assert err == "error: grading parameter m must be >= 0, got -1\n"
 
 
+# a negative m or n on a tuple outside the domain; the domain refuses the
+# argument before the sweep could skip the tuple
+NEGATIVE_ARGUMENTS_OUTSIDE_DOMAIN = {
+    "qchu-m": ["--identity", "qchu", "--x=-5", "--y", "1", "--m=-1", "--n", "1"],
+    "kmx-m": ["--identity", "kmx", "--p=-5", "--q", "1", "--m=-1", "--n", "1"],
+    "invw-m": ["--identity", "invw", "--p=-5", "--k", "1", "--m=-1"],
+    "qword-m": ["--identity", "qword", "--p=-5", "--q", "1", "--m=-1", "--n", "1"],
+    "kmx-n": ["--identity", "kmx", "--p=-9", "--q", "1", "--m", "1", "--n=-1"],
+    "qchu-m1-n": ["--identity", "qchu-m1", "--x=-5", "--y", "1", "--n=-1"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(NEGATIVE_ARGUMENTS_OUTSIDE_DOMAIN))
+def test_verify_negative_argument_refused_outside_domain(capsys, case, fmt):
+    code, out, err = run(capsys, "verify", "--format", fmt,
+                         *NEGATIVE_ARGUMENTS_OUTSIDE_DOMAIN[case])
+    message = ("n must be >= 0, got -1" if case.endswith("-n")
+               else "grading parameter m must be >= 0, got -1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("identity", ["cardinality", "invw"])
 def test_verify_empty_class_is_no_length_cap_breach(capsys, identity):
     # at k < 0 the class is empty, so it has no word length to refuse
@@ -761,7 +784,7 @@ def test_verify_empty_class_is_no_length_cap_breach(capsys, identity):
 # excludes it with the stand-in's source: the shift finds no balancing prefix,
 # the factorization overshoots on an 'a'
 BROKEN_INVARIANTS = {
-    "shift": ("_check_domain", "lambda p, q, m, n: None",
+    "shift": ("_require_shift_domain", "lambda p, q, m, n: None",
               ["theorem1", "--p", "1", "--q", "0", "--m", "0", "--n", "0", "--word", "a"],
               "no prefix y of '' and suffix x of 'a' with weight(y) = weight(x) + 1 (m=0)"),
     "decompose": ("_prefix_at_least", "lambda w, r, m: (1, r + 1)",

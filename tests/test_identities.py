@@ -632,24 +632,10 @@ def merged_registry():
 
 
 def small_points(record):
-    """Integer tuples around each record's domain edges; n and m stay >= 0,
-    where the checkers' own argument checks do not fire."""
-    pools = {"n": range(0, 3), "m": range(0, 3), "eps": range(0, 2)}
+    """Integer tuples around each record's domain edges; n and m run over
+    -1..2, so that the checkers' own argument checks fire too."""
+    pools = {"n": range(-1, 3), "m": range(-1, 3), "eps": range(0, 2)}
     return itertools.product(*(pools.get(name, range(-1, 4)) for name in record.order))
-
-
-@pytest.mark.parametrize("name", sorted(merged_registry()))
-def test_registry_domain_is_the_checker_precondition(name):
-    record = merged_registry()[name]
-    for point in small_points(record):
-        inside = record.domain is None or record.domain(*point)
-        kwargs = dict(zip(record.order, point))
-        if inside:
-            assert record.check(**kwargs).passed, kwargs
-            assert record.cost(*point) >= 1
-        else:
-            with pytest.raises(ParameterError):
-                record.check(**kwargs)
 
 
 def refusal(call, *args):
@@ -659,6 +645,31 @@ def refusal(call, *args):
     except (ValueError, CapExceededError) as exc:
         return type(exc), str(exc)
     return None
+
+
+@pytest.mark.parametrize("name", sorted(merged_registry()))
+def test_registry_domain_is_the_checker_precondition(name):
+    # a sweep evaluates the domain of every tuple before it skips or prices
+    # it, so the domain raises each argument refusal of the checker, with
+    # the same type and message, in the precondition or out of it
+    record = merged_registry()[name]
+    for point in small_points(record):
+        kwargs = dict(zip(record.order, point))
+        refused = refusal(lambda: record.check(**kwargs))
+        try:
+            inside = record.domain is None or record.domain(*point)
+        except ParameterError as exc:
+            assert refused == (type(exc), str(exc)), kwargs
+            continue
+        if not inside:
+            assert refused is not None and issubclass(refused[0], ParameterError), kwargs
+        elif refused is None:
+            assert record.check(**kwargs).passed, kwargs
+            assert record.cost(*point) >= 1, kwargs
+        else:
+            # only a record without a domain refuses a tuple its domain lets
+            # through: it skips nothing, so the tuple reaches the checker
+            assert record.domain is None and issubclass(refused[0], ParameterError), kwargs
 
 
 # each word-class identity's pools of values, and the class its check
@@ -684,7 +695,7 @@ def test_registry_cost_refuses_as_enumeration(name):
         else:
             assert refusal(record.cost, *point) == expected, point
             refusals.add(expected[0])
-    assert refusals == {ValueError, CapExceededError}
+    assert refusals == {ParameterError, CapExceededError}
 
 
 def test_registry_defaults_only_the_last_variable():

@@ -323,6 +323,19 @@ def test_qweighted_parameter_errors():
         qweighted_bijection_check(2, 0, 1, 1)
 
 
+def test_qweighted_refuses_before_any_sum(monkeypatch):
+    # the domain before the length cap, and the cap before the q-Chu sides,
+    # which cost seconds at (100, 100, 1, 50)
+    def no_sum(*args):
+        raise AssertionError("q-Chu sides computed for a refused tuple")
+
+    monkeypatch.setattr(qseries, "_qchu_sum", no_sum)
+    with pytest.raises(CapExceededError):
+        qweighted_bijection_check(100, 100, 1, 50)
+    with pytest.raises(ParameterError, match=r"^need p >= m\*n and q >= 1"):
+        qweighted_bijection_check(0, 100, 1, 50)
+
+
 def test_flipped_qchu_exponent_is_caught(monkeypatch):
     # every triple of the k-th summand carries the shift k*(k*m + k + y - n)
     # (less k*j for the j-terms); the mutant negates that common exponent
