@@ -57,7 +57,9 @@ def _check_shift_params(w: Word, p: int, q: int, g: Grading) -> None:
     _require_shift_domain(p, q, g.m, n)
     if len(w) != p + q:
         extra = g.m * n  # the letters b add m*n to both weights
-        raise NotInDomainError(f"word {w!r} has weight {len(w) + extra}, expected {p + q + extra}")
+        raise NotInDomainError(
+            f"word {w!r} has weight {len(w) + extra}, expected {p + q + extra}"
+        )
 
 
 def _shift(u: Word, v: Word, m: int) -> Word:

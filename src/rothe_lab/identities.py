@@ -301,6 +301,8 @@ def shift_domain(p: int, q: int, m: int, n: int) -> bool:
 def _require_shift_domain(p: int, q: int, m: int, n: int, names=("p", "q")) -> None:
     """Raise :class:`NotInDomainError` outside :func:`shift_domain`; ``names``
     are what its message calls ``p`` and ``q``."""
+    if n >= 0 and m >= 0 and p >= m * n and q >= 1:
+        return  # the in-domain case, every valid bijection call, needs no second frame
     if not shift_domain(p, q, m, n):
         a, b = names
         raise NotInDomainError(f"need {a} >= m*n and {b} >= 1, got {a}={p}, {b}={q}, m={m}, n={n}")

@@ -403,12 +403,6 @@ def _qchu_sides(x: int, y: int, m: int, n: int):
     return _qchu_sum(x, y, m, n), gaussian_binomial(x + y, n)
 
 
-def _qchu_cost(x: int, y: int, m: int, n: int) -> int:
-    """Work units of the two q-Chu sides: ``(n + 1)**2`` bracket products for
-    each ``j = 0..m``, and one for the closed form."""
-    return (n + 1) ** 2 * (m + 1) + 1
-
-
 def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
     """Double-sum extension of the q-Chu-Vandermonde formula:
 
@@ -419,7 +413,9 @@ def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
     at ``m = 0``, which leaves the classical q-Chu-Vandermonde sum.
     """
     lhs, rhs = _qchu_sides(x, y, m, n)
-    return VerificationReport.from_sides("qchu", {"x": x, "y": y, "m": m, "n": n}, lhs, rhs)
+    return VerificationReport.from_sides(
+        "qchu", {"x": x, "y": y, "m": m, "n": n}, lhs, rhs
+    )
 
 
 def qchu_m1_term(x: int, y: int, n: int, k: int) -> LaurentPolynomial:
@@ -433,7 +429,9 @@ def check_qchu_m1(x: int, y: int, n: int) -> VerificationReport:
     + [x-k, k-1] [y+k-1, n-k] q^{-k}) == [x+y, n]``, the double sum of
     :func:`check_qchu` at ``m = 1``."""
     lhs, rhs = _qchu_sides(x, y, 1, n)
-    return VerificationReport.from_sides("qchu-m1", {"x": x, "y": y, "n": n}, lhs, rhs)
+    return VerificationReport.from_sides(
+        "qchu-m1", {"x": x, "y": y, "n": n}, lhs, rhs
+    )
 
 
 def qweighted_bijection_check(
@@ -442,10 +440,13 @@ def qweighted_bijection_check(
     """Tie the word model to the algebra: the enumerated inversion generating
     function over the full weight class equals ``[p+q, n]`` and equals the
     structured double sum of :func:`check_qchu`."""
-    # the domain is refused before the length cap, and the cap before any sum
     _require_shift_domain(p, q, m, n)
-    enumerated = inv_generating_function(p + q + m * n, n, Grading(m), max_length=max_length)
-    structured, bracket = _qchu_sides(p, q, m, n)
+    # the length cap is refused before either q-Chu side is computed
+    enumerated = inv_generating_function(
+        p + q + m * n, n, Grading(m), max_length=max_length
+    )
+    bracket = gaussian_binomial(p + q, n)
+    structured = _qchu_sum(p, q, m, n)
     params = {"p": p, "q": q, "m": m, "n": n}
     if enumerated == bracket == structured:
         return VerificationReport("qword", params, enumerated, bracket, "pass")
@@ -472,20 +473,19 @@ IDENTITIES: dict[str, Identity] = {
         check=check_qchu,
         order=("x", "y", "m", "n"),
         domain=shift_domain,
-        cost=_qchu_cost,
+        cost=lambda x, y, m, n: (n + 1) ** 2 * (m + 1) + 1,
     ),
     "qchu-m1": Identity(
         check=check_qchu_m1,
         order=("x", "y", "n"),
         domain=lambda x, y, n: shift_domain(x, y, 1, n),
-        cost=lambda x, y, n: _qchu_cost(x, y, 1, n),
+        cost=lambda x, y, n: 2 * (n + 1) ** 2 + 1,
     ),
     "qword": Identity(
         check=qweighted_bijection_check,
         order=("p", "q", "m", "n"),
         domain=shift_domain,
-        # both prices hold one unit for the closed form [p + q, n]
-        cost=lambda p, q, m, n: _class_cost(p + q + m * n, n, m) + _qchu_cost(p, q, m, n) - 1,
+        cost=lambda p, q, m, n: _class_cost(p + q + m * n, n, m) + (n + 1) ** 2 * (m + 1),
     ),
 }
 """The q-identities and the word-class oracles by name; the rational and

@@ -668,8 +668,11 @@ def test_registry_domain_is_the_checker_precondition(name):
             assert record.cost(*point) >= 1, kwargs
         else:
             # only a record without a domain refuses a tuple its domain lets
-            # through: it skips nothing, so the tuple reaches the checker
-            assert record.domain is None and issubclass(refused[0], ParameterError), kwargs
+            # through: it skips nothing, so a negative n or m reaches the
+            # checker; at n, m >= 0 every such tuple must pass
+            assert record.domain is None, kwargs
+            assert min(kwargs.get("n", 0), kwargs.get("m", 0)) < 0, kwargs
+            assert issubclass(refused[0], ParameterError), kwargs
 
 
 # each word-class identity's pools of values, and the class its check
