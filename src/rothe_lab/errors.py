@@ -22,8 +22,10 @@ class ParameterError(RotheLabError, ValueError):
 
 
 class NotInDomainError(ParameterError):
-    """A tuple outside the shift domain ``p >= m*n``, ``q >= 1`` of ``kmx``, q-Chu
-    and both bijections, or a word outside the class a bijection acts on."""
+    """A tuple outside a checker's domain, such as the shift domain
+    ``p >= m*n``, ``q >= 1`` of ``kmx``, q-Chu and both bijections, ``p >= k*m``
+    of ``invw`` or ``1 <= j <= m`` of ``kmpink``, or a word outside the class
+    a bijection acts on."""
 
 
 class InvariantViolationError(RotheLabError, ValueError):

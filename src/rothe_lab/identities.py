@@ -6,13 +6,22 @@ quotient form ``x / (x - k*z) * C(x - k*z, k)``, which is undefined on the
 lines ``x = k*z``, by the polynomial form ``(x / k!) * prod_{i=1}^{k-1}
 (x - k*z - i)``; the two agree everywhere else, so every rational point is a
 legal evaluation point and grid certification is sound.
+
+Every convolution side is computed in integers as a dot product
+``sum_k row[k] * tail[k]``: ``row`` depends on the first argument and ``z``
+alone, ``tail`` on the second argument and ``z`` alone. Four row builders
+make the rows, each behind one ``functools.lru_cache`` of ``ROW_CACHE_SIZE``
+rows, so that across a grid or a sweep each row is built once per line;
+the checkers, sweeps and :func:`grid_prove` share them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -82,15 +91,17 @@ class Identity:
     is the sweep order, the last variable varying fastest. ``sides`` is set
     for a polynomial identity in every variable but the degree ``n``; it takes
     those variables written over a common denominator ``d``, then ``n``, then
-    ``d``, and returns ``n! d**n`` times each side as an integer. The other
+    ``d``, and returns ``n! d**n`` times each side as an integer, a convolution
+    side as the dot product of two cached coefficient rows. The other
     callables take the variables positionally in sweep order: ``defaults``
     maps a variable that may be left unset to its range, computed from the
     variables before it; ``domain`` is the precondition, outside which
-    ``check`` raises :class:`ParameterError` and a sweep skips the tuple
+    ``check`` raises :class:`NotInDomainError` and a sweep skips the tuple
     (``None`` when there is none); a domain also raises the check's argument
     refusals, such as a negative degree, inside it or not; ``cost`` estimates
     the elementary evaluations of one check inside the domain, or raises its
-    other refusals, such as the length cap. A sweep calls both before any check.
+    other refusals, such as the length cap or, for a record without a domain,
+    a negative degree. A sweep calls both before any check.
     """
 
     check: Callable[..., VerificationReport]
@@ -158,6 +169,42 @@ def _rothe_numerator(x: int, z: int, k: int, d: int) -> int:
     return x * _falling(x - k * z - d, k - 1, d)
 
 
+# The coefficient rows of the convolution sides below. A row depends on one
+# argument and ``z`` alone, so across a grid or a sweep each row recurs and is
+# built once. Every builder keeps its last ROW_CACHE_SIZE rows.
+
+ROW_CACHE_SIZE = 4096
+"""Rows kept per row builder: every row of a grid up to about ``n = 30``."""
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _coefficient_row(X: int, Z: int, n: int, d: int) -> tuple[int, ...]:
+    """``C(n, k) * k! d**k B_k(X / d, Z / d)`` for ``k = 0..n``."""
+    return tuple(math.comb(n, k) * _rothe_numerator(X, Z, k, d) for k in range(n + 1))
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _coefficient_tail(Y: int, Z: int, n: int, d: int) -> tuple[int, ...]:
+    """``(n-k)! d**(n-k) B_{n-k}(Y / d, Z / d)`` for ``k = 0..n``."""
+    return tuple(_rothe_numerator(Y, Z, n - k, d) for k in range(n + 1))
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _binomial_row(a: int, z: int, n: int, lower: int, d: int) -> tuple[int, ...]:
+    """``C(n-l, k-l) * (k-l)! d**(k-l) C((a - k*z) / d, k - l)`` for
+    ``k = 0..n``, with ``l = lower``: 0 below ``k = l``."""
+    return (0,) * lower + tuple(
+        math.comb(n - lower, k - lower) * _falling(a - k * z, k - lower, d)
+        for k in range(lower, n + 1)
+    )
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _binomial_tail(b: int, z: int, n: int, d: int) -> tuple[int, ...]:
+    """``(n-k)! d**(n-k) C((b + k*z) / d, n - k)`` for ``k = 0..n``."""
+    return tuple(_falling(b + k * z, n - k, d) for k in range(n + 1))
+
+
 def gen_binomial(t: RationalLike, k: int) -> Fraction:
     """Generalized binomial coefficient ``prod_{i=0}^{k-1} (t - i) / k!``.
 
@@ -212,11 +259,8 @@ def _rational_report(
 
 
 def _rothe1_sides(X: int, Y: int, Z: int, n: int, d: int) -> tuple[int, int]:
-    lhs = sum(
-        math.comb(n, k) * _rothe_numerator(X, Z, k, d) * _rothe_numerator(Y, Z, n - k, d)
-        for k in range(n + 1)
-    )
-    return lhs, _rothe_numerator(X + Y, Z, n, d)
+    row, tail = _coefficient_row(X, Z, n, d), _coefficient_tail(Y, Z, n, d)
+    return sum(map(operator.mul, row, tail)), _rothe_numerator(X + Y, Z, n, d)
 
 
 def check_rothe1(
@@ -228,11 +272,8 @@ def check_rothe1(
 
 
 def _rothe2_sides(X: int, Y: int, Z: int, n: int, d: int) -> tuple[int, int]:
-    lhs = sum(
-        math.comb(n, k) * _rothe_numerator(X, Z, k, d) * _falling(Y + k * Z, n - k, d)
-        for k in range(n + 1)
-    )
-    return lhs, _falling(X + Y, n, d)
+    row, tail = _coefficient_row(X, Z, n, d), _binomial_tail(Y, Z, n, d)
+    return sum(map(operator.mul, row, tail)), _falling(X + Y, n, d)
 
 
 def check_rothe2(
@@ -248,12 +289,8 @@ def _convolution_numerator(a: int, b: int, z: int, n: int, lower: int, d: int) -
     ``S_l(a, b; z, n) = sum_{k=0}^{n} C(a - k*z, k - l) * C(b + k*z, n - k)``:
     ``sum_{k=l}^{n} C(n-l, k-l) * N_k * M_k``, where ``N_k`` and ``M_k`` are the
     falling products of ``C(a - k*z, k - l)`` and ``C(b + k*z, n - k)``; 0 at ``n < l``."""
-    return sum(
-        math.comb(n - lower, k - lower)
-        * _falling(a - k * z, k - lower, d)
-        * _falling(b + k * z, n - k, d)
-        for k in range(lower, n + 1)
-    )
+    row, tail = _binomial_row(a, z, n, lower, d), _binomial_tail(b, z, n, d)
+    return sum(map(operator.mul, row, tail))
 
 
 def _gould_sides(X: int, Y: int, Z: int, E: int, n: int, d: int) -> tuple[int, int]:
@@ -335,7 +372,7 @@ def check_kmpink(p: int, q: int, m: int, n: int, j: int) -> VerificationReport:
     _require_int(n, "n")
     d, (P, Q, M, J) = _scaled(p=p, q=q, m=m, j=j)
     if not _kmpink_domain(p, q, m, n, j):
-        raise ParameterError(f"j must lie in [1, m] = [1, {m}], got {j}")
+        raise NotInDomainError(f"j must lie in [1, m] = [1, {m}], got {j}")
     sides = _lowered_numerator(P, Q, M, J, n, d), _lowered_numerator(P, Q, M, 0, n, d)
     return _report("kmpink", {"p": p, "q": q, "m": m, "n": n, "j": j}, n - 1, d, sides)
 
@@ -346,26 +383,33 @@ def _side_cost(n: int) -> int:
     return (max(n, 0) + 1) ** 2
 
 
+def _degree_cost(n: int, sides: int) -> int:
+    """Work units of ``sides`` degree-``n`` sides of a check that refuses
+    ``n < 0``, raising that refusal before pricing."""
+    _require_natural(n, "n")
+    return sides * _side_cost(n)
+
+
 IDENTITIES: dict[str, Identity] = {
     "rothe1": Identity(
         check=check_rothe1,
         order=("x", "y", "z", "n"),
         sides=_rothe1_sides,
-        cost=lambda x, y, z, n: _side_cost(n),
+        cost=lambda x, y, z, n: _degree_cost(n, 1),
     ),
     "rothe2": Identity(
         check=check_rothe2,
         order=("x", "y", "z", "n"),
         sides=_rothe2_sides,
-        cost=lambda x, y, z, n: _side_cost(n),
+        cost=lambda x, y, z, n: _degree_cost(n, 1),
     ),
     "gould": Identity(
         check=check_gould,
         order=("x", "y", "z", "n", "eps"),
         sides=_gould_sides,
-        # one eps at n < 0, so that the check refuses the degree
+        # one eps at n < 0, so that the tuple is priced and its cost refuses the degree
         defaults={"eps": lambda x, y, z, n: range(0, max(n, 0) + 1)},
-        cost=lambda x, y, z, n, eps: 2 * _side_cost(n),
+        cost=lambda x, y, z, n, eps: _degree_cost(n, 2),
     ),
     "pqkm": Identity(
         check=check_pqkm,

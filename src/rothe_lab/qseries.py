@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 
-from .errors import ParameterError, UnsupportedArgumentError
+from .errors import NotInDomainError, UnsupportedArgumentError
 from .identities import Identity, VerificationReport, _require_shift_domain, shift_domain
 from .words import MAX_WORD_LENGTH, Grading, _b_positions
 
@@ -362,7 +362,7 @@ def check_invw(p: int, k: int, m: int) -> VerificationReport:
     """Inversion statistic oracle: the enumerated generating function equals
     the Gaussian binomial ``[p - k*m, k]``. Requires ``p >= k*m``."""
     if not _invw_domain(p, k, m):
-        raise ParameterError(f"need p >= k*m, got p={p}, k={k}, m={m}")
+        raise NotInDomainError(f"need p >= k*m, got p={p}, k={k}, m={m}")
     lhs = inv_generating_function(p, k, Grading(m))
     rhs = gaussian_binomial(p - k * m, k)
     return VerificationReport.from_sides("invw", {"p": p, "k": k, "m": m}, lhs, rhs)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from rothe_lab import (
     CapExceededError,
     Grading,
+    NotInDomainError,
     ParameterError,
     VerificationReport,
     check_gould,
@@ -410,6 +411,64 @@ def test_grid_prove_catches_one_wrong_interior_point(monkeypatch, name):
     assert (rep.lhs, rep.rhs) == (Fraction(truth[0] + 1, 2), Fraction(truth[1], 2))
 
 
+def degree_violations(sides, width, n, bases):
+    """Each ``(side, variable, base)`` at which the ``(n+1)``-th forward
+    difference of an integer side, in one grid variable from an integer base
+    point, is not zero: there that side has degree above ``n`` in the
+    variable, and an ``(n+1)``-point grid would prove nothing."""
+    found = []
+    for base, var in itertools.product(bases, range(width)):
+        values = []
+        for step in range(n + 2):
+            point = list(base)
+            point[var] += step
+            values.append(sides(*point, n, 1))
+        for side in (0, 1):
+            difference = sum(
+                (-1) ** (n + 1 - step) * math.comb(n + 1, step) * values[step][side]
+                for step in range(n + 2)
+            )
+            if difference:
+                found.append((side, var, base))
+    return found
+
+
+def degree_sample(width):
+    """A fixed sample of ``(n, bases)``: ``n <= 4``, seeded integer bases."""
+    rng = random.Random(1404)
+    return [(n, [tuple(rng.randint(-6, 6) for _ in range(width)) for _ in range(6)])
+            for n in range(5)]
+
+
+@pytest.mark.parametrize("name", CERTIFIABLE)
+def test_grid_sides_have_degree_at_most_n_in_each_variable(name):
+    # the grid of n + 1 points per variable certifies only this degree bound,
+    # so the bound is checked, not assumed
+    record = identities.IDENTITIES[name]
+    width = len(record.grid_variables)
+    for n, bases in degree_sample(width):
+        assert degree_violations(record.sides, width, n, bases) == [], (name, n)
+
+
+@pytest.mark.parametrize("name", CERTIFIABLE)
+def test_degree_test_catches_a_mutant_that_passes_the_grid(monkeypatch, name):
+    # adding prod_{t=0}^{n} (x - t) to the left side leaves every point of
+    # the default grid x in 0..n unchanged, but raises the degree in x to n + 1
+    record = identities.IDENTITIES[name]
+    width = len(record.grid_variables)
+    sides = record.sides
+
+    def mutant(*args):
+        lhs, rhs = sides(*args)
+        x, n = args[0], args[-2]
+        return lhs + math.prod(x - t for t in range(n + 1)), rhs
+
+    monkeypatch.setitem(identities.IDENTITIES, name, dataclasses.replace(record, sides=mutant))
+    for n, bases in degree_sample(width):
+        assert grid_prove(name, n).passed
+        assert (0, 0) in {found[:2] for found in degree_violations(mutant, width, n, bases)}
+
+
 def test_report_json_schema():
     rep = check_rothe2(2, 2, 1, 2)
     blob = json.dumps(rep.to_json_dict())
@@ -662,17 +721,19 @@ def test_registry_domain_is_the_checker_precondition(name):
             assert refused == (type(exc), str(exc)), kwargs
             continue
         if not inside:
-            assert refused is not None and issubclass(refused[0], ParameterError), kwargs
+            assert refused is not None and issubclass(refused[0], NotInDomainError), kwargs
         elif refused is None:
             assert record.check(**kwargs).passed, kwargs
             assert record.cost(*point) >= 1, kwargs
         else:
             # only a record without a domain refuses a tuple its domain lets
             # through: it skips nothing, so a negative n or m reaches the
-            # checker; at n, m >= 0 every such tuple must pass
+            # checker, and its cost raises the same refusal before a sweep
+            # prices anything; at n, m >= 0 every such tuple must pass
             assert record.domain is None, kwargs
             assert min(kwargs.get("n", 0), kwargs.get("m", 0)) < 0, kwargs
             assert issubclass(refused[0], ParameterError), kwargs
+            assert refusal(record.cost, *point) == refused, kwargs
 
 
 # each word-class identity's pools of values, and the class its check
