@@ -12,32 +12,27 @@ missing, a map raises :class:`NoMatchError`, a library bug, not a bad argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantViolationError, NoMatchError, NotInDomainError
 from .identities import _require_shift_domain
 from .words import Grading, Word, _prefix_at_least, _prefix_length, b_count
 
 
-@dataclass(frozen=True)
-class BranchA:
-    """Factorization hit the target weight exactly; the word is kept whole."""
+class BranchA(namedtuple("BranchA", "w")):
+    """Factorization hit the target weight exactly; the word ``w`` is kept whole."""
 
-    w: Word
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BranchB:
+class BranchB(namedtuple("BranchB", "j k u_prime v")):
     """Factorization overshot by ``j``; the splitting ``b`` is removed.
 
     ``u_prime`` is the part before that ``b``, ``v`` the part after, and ``k``
     counts the letters ``b`` up to and including the removed one.
     """
 
-    j: int
-    k: int
-    u_prime: Word
-    v: Word
+    __slots__ = ()
 
 
 Decomposition = BranchA | BranchB

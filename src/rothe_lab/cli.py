@@ -15,9 +15,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Sequence
 
 from . import bijections, identities, qseries, words
 from .errors import CapExceededError, RotheLabError
@@ -388,18 +388,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # exact values are read and printed whole, whatever their size: lift the
+    # interpreter's limit on int <-> str conversion (4,300 digits by default
+    # since Python 3.10.7, where 0 means none) for this run only, so that an
+    # in-process caller gets its own limit back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
     except (UsageError, CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RotheLabError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

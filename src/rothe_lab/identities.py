@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
 from .errors import NotInDomainError, ParameterError
 from .words import Grading
@@ -41,22 +41,23 @@ def _json_value(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "identity params lhs rhs status counterexample",
+        defaults=(None,),
+    )
+):
     """Outcome of one identity check: parameters, both sides, verdict.
 
-    ``lhs`` and ``rhs`` are exact values (Fraction for the rational checks,
-    Laurent polynomials for the q checks); ``status`` is ``"pass"`` exactly
-    when they are equal. ``counterexample`` names the failing parameter point
-    when present.
+    ``identity`` names the identity and ``params`` is the dict of its
+    parameters. ``lhs`` and ``rhs`` are exact values (Fraction for the
+    rational checks, Laurent polynomials for the q checks); ``status`` is
+    ``"pass"`` exactly when they are equal. ``counterexample``, a dict or
+    ``None``, names the failing parameter point when present.
     """
 
-    identity: str
-    params: dict
-    lhs: object
-    rhs: object
-    status: str
-    counterexample: dict | None = None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -83,8 +84,7 @@ class VerificationReport:
         return out
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(namedtuple("Identity", "check order cost sides defaults domain")):
     """Everything stated about one identity, in one place.
 
     ``check`` takes every variable by keyword and returns a report. ``order``
@@ -104,12 +104,20 @@ class Identity:
     a negative degree. A sweep calls both before any check.
     """
 
-    check: Callable[..., VerificationReport]
-    order: tuple[str, ...]
-    cost: Callable[..., int]
-    sides: Callable[..., tuple[int, int]] | None = None
-    defaults: Mapping[str, Callable[..., range]] = field(default_factory=dict)
-    domain: Callable[..., bool] | None = None
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        check: Callable[..., VerificationReport],
+        order: tuple[str, ...],
+        cost: Callable[..., int],
+        sides: Callable[..., tuple[int, int]] | None = None,
+        defaults: Mapping[str, Callable[..., range]] | None = None,
+        domain: Callable[..., bool] | None = None,
+    ) -> Identity:
+        # a fresh empty mapping per record, never one shared default
+        defaults = {} if defaults is None else defaults
+        return super().__new__(cls, check, order, cost, sides, defaults, domain)
 
     @property
     def grid_variables(self) -> tuple[str, ...] | None:

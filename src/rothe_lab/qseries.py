@@ -179,20 +179,19 @@ class LaurentPolynomial:
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
-        pieces: list[tuple[str, str]] = []
+        pieces = []
         for exponent, coeff in self.sorted_terms():
+            pieces.append("-" if coeff < 0 else "+")
             mag = abs(coeff)
             if exponent == 0:
-                body = str(mag)
+                pieces.append(str(mag))
+            elif mag == 1:
+                pieces.append("q" if exponent == 1 else f"q^{exponent}")
             else:
-                power = "q" if exponent == 1 else f"q^{exponent}"
-                body = power if mag == 1 else f"{mag}{power}"
-            pieces.append(("-" if coeff < 0 else "+", body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += sign + body
-        return out
+                pieces.append(f"{mag}q" if exponent == 1 else f"{mag}q^{exponent}")
+        if pieces[0] == "+":
+            del pieces[0]  # no sign before a positive leading term
+        return "".join(pieces)
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({dict(self.sorted_terms())!r})"

@@ -10,8 +10,8 @@ exactly ``k`` letters ``b``, in lexicographic order (``a`` before ``b``).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import CapExceededError, ParameterError
 
@@ -21,15 +21,15 @@ MAX_WORD_LENGTH = 26
 """Hard bound on enumerated word length; class sizes grow binomially."""
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(namedtuple("Grading", "m")):
     """Letter weights ``a -> 1`` and ``b -> m + 1``."""
 
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ParameterError(f"grading parameter m must be >= 0, got {self.m}")
+    def __new__(cls, m: int) -> Grading:
+        if m < 0:
+            raise ParameterError(f"grading parameter m must be >= 0, got {m}")
+        return super().__new__(cls, m)
 
     def letter_weight(self, letter: str) -> int:
         if letter == "a":

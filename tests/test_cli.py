@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import shlex
@@ -23,7 +22,7 @@ def json_lines(out):
 
 def patch_check(monkeypatch, identity, check):
     """Swap the checker of one registry entry for the length of a test."""
-    entry = dataclasses.replace(identities.IDENTITIES[identity], check=check)
+    entry = identities.IDENTITIES[identity]._replace(check=check)
     monkeypatch.setitem(identities.IDENTITIES, identity, entry)
 
 
@@ -482,9 +481,7 @@ def test_grid_prove_bad_identity_exit_2(capsys):
 
 def test_grid_prove_failure_exit_1(capsys, monkeypatch):
     # grid_prove compares the integer sides and never calls the checker
-    entry = dataclasses.replace(
-        identities.IDENTITIES["rothe1"], sides=lambda x, y, z, n, d: (0, 1)
-    )
+    entry = identities.IDENTITIES["rothe1"]._replace(sides=lambda x, y, z, n, d: (0, 1))
     monkeypatch.setitem(identities.IDENTITIES, "rothe1", entry)
     code, out, _ = run(capsys, "grid-prove", "--identity", "rothe1", "--n", "1")
     assert code == 1
@@ -511,6 +508,52 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "pqkm p=2 q=2 m=1 n=2: PASS 4" in proc.stdout
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # every rothe-lab run pays for its imports; -S keeps site from importing typing
+    import os
+    import subprocess
+    import sys
+
+    heavy = ("dataclasses", "inspect", "typing")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, rothe_lab.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_prints_values_past_the_int_digit_limit(capsys, fmt):
+    # each side has about 6,000 digits, past Python's default limit of 4,300
+    # on int-to-str conversion; the check passes, so the run exits 0
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(
+        capsys, "verify", "--identity", "rothe1", "--x", str(10**40),
+        "--y", "1", "--z", "1", "--n", "150", "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    first, summary = out.splitlines()
+    if fmt == "json":
+        report = json.loads(first)
+        assert report["status"] == "pass"
+        assert report["lhs"] == report["rhs"]
+        value = report["lhs"]
+        assert json.loads(summary) == {"checked": 1, "failed": 0, "skipped": 0}
+    else:
+        head, value = first.split(": PASS ")
+        assert head == f"rothe1 x={10**40} y=1 z=1 n=150"
+        assert summary == "1 checked, 0 failed"
+    assert value.isdigit() and len(value) > 4300
+    # the in-process caller gets its own limit back
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_verify_qchu_tall_x_exits_0_without_traceback():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -400,7 +399,7 @@ def test_grid_prove_catches_one_wrong_interior_point(monkeypatch, name):
         return (lhs + 1, rhs) if args[: len(variables)] == bad else (lhs, rhs)
 
     # no checker is called: the record keeps no check at all
-    entry = dataclasses.replace(record, sides=wrong_once, check=None)
+    entry = record._replace(sides=wrong_once, check=None)
     monkeypatch.setitem(identities.IDENTITIES, name, entry)
     rep = grid_prove(name, n, offsets)
     index = 1 + sum((n + 1) ** i for i in range(len(variables)))
@@ -463,7 +462,7 @@ def test_degree_test_catches_a_mutant_that_passes_the_grid(monkeypatch, name):
         x, n = args[0], args[-2]
         return lhs + math.prod(x - t for t in range(n + 1)), rhs
 
-    monkeypatch.setitem(identities.IDENTITIES, name, dataclasses.replace(record, sides=mutant))
+    monkeypatch.setitem(identities.IDENTITIES, name, record._replace(sides=mutant))
     for n, bases in degree_sample(width):
         assert grid_prove(name, n).passed
         assert (0, 0) in {found[:2] for found in degree_violations(mutant, width, n, bases)}

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -54,6 +55,54 @@ def test_lp_str_forms():
     assert str(LaurentPolynomial({-1: 1, 0: 1})) == "q^-1+1"
     assert str(LaurentPolynomial({0: 1, 2: -1})) == "1-q^2"
     assert str(LaurentPolynomial({2: 2, 3: 1})) == "2q^2+q^3"
+
+
+def str_by_concatenation(poly):
+    """The piecewise ``+=`` rendering that ``LaurentPolynomial.__str__``
+    replaced, kept as its oracle."""
+    terms = poly.sorted_terms()
+    if not terms:
+        return "0"
+    pieces = []
+    for exponent, coeff in terms:
+        mag = abs(coeff)
+        if exponent == 0:
+            body = str(mag)
+        else:
+            power = "q" if exponent == 1 else f"q^{exponent}"
+            body = power if mag == 1 else f"{mag}{power}"
+        pieces.append(("-" if coeff < 0 else "+", body))
+    first_sign, first_body = pieces[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in pieces[1:]:
+        out += sign + body
+    return out
+
+
+def test_lp_str_matches_the_concatenation_oracle():
+    rng = random.Random(15)
+    polys = [
+        LaurentPolynomial.zero(),
+        LaurentPolynomial({0: 1}),
+        LaurentPolynomial({0: -1}),
+        LaurentPolynomial({1: 1}),
+        LaurentPolynomial({1: -1}),
+        LaurentPolynomial({0: -1, 1: -1}),
+        LaurentPolynomial({0: 1, 1: -1, 2: 1}),
+        LaurentPolynomial({-2: -1, -1: 1, 0: -1, 1: 1, 3: -10**40}),
+        LaurentPolynomial({-7: -3, -1: -1, 1: 2}),
+        gaussian_binomial(25, 5),
+        -gaussian_binomial(9, 4).shift(-20),
+    ]
+    for _ in range(200):
+        span = rng.randint(1, 8)
+        low = rng.randint(-5, 3)
+        polys.append(LaurentPolynomial(
+            {low + i: rng.choice((-2, -1, 0, 1, 2, rng.randint(-10**6, 10**6)))
+             for i in range(span)}
+        ))
+    for poly in polys:
+        assert str(poly) == str_by_concatenation(poly), repr(poly)
 
 
 def test_lp_json_serialization():
