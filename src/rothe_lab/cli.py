@@ -126,6 +126,11 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown identity {args.identity!r}; choose from {', '.join(sorted(registry))}"
         )
+    stray = [name for r in registry.values() for name in r.order
+             if name not in record.order and getattr(args, name) is not None]
+    if stray:
+        takes = ", ".join(f"--{name}" for name in record.order)
+        raise UsageError(f"identity '{args.identity}' takes no --{stray[0]}; it takes {takes}")
     values: dict[str, Sequence] = {}
     for name in record.order:
         raw = getattr(args, name)

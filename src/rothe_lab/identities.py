@@ -198,13 +198,9 @@ def _coefficient_tail(Y: int, Z: int, n: int, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _binomial_row(a: int, z: int, n: int, lower: int, d: int) -> tuple[int, ...]:
-    """``C(n-l, k-l) * (k-l)! d**(k-l) C((a - k*z) / d, k - l)`` for
-    ``k = 0..n``, with ``l = lower``: 0 below ``k = l``."""
-    return (0,) * lower + tuple(
-        math.comb(n - lower, k - lower) * _falling(a - k * z, k - lower, d)
-        for k in range(lower, n + 1)
-    )
+def _binomial_row(a: int, z: int, n: int, d: int) -> tuple[int, ...]:
+    """``C(n, k) * k! d**k C((a - k*z) / d, k)`` for ``k = 0..n``."""
+    return tuple(math.comb(n, k) * _falling(a - k * z, k, d) for k in range(n + 1))
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -292,18 +288,18 @@ def check_rothe2(
     return _rational_report("rothe2", _rothe2_sides, n, x=x, y=y, z=z)
 
 
-def _convolution_numerator(a: int, b: int, z: int, n: int, lower: int, d: int) -> int:
-    """``(n-l)! * d**(n-l) * S_l(a / d, b / d; z / d, n)``, with ``l = lower >= 0`` and
-    ``S_l(a, b; z, n) = sum_{k=0}^{n} C(a - k*z, k - l) * C(b + k*z, n - k)``:
-    ``sum_{k=l}^{n} C(n-l, k-l) * N_k * M_k``, where ``N_k`` and ``M_k`` are the
-    falling products of ``C(a - k*z, k - l)`` and ``C(b + k*z, n - k)``; 0 at ``n < l``."""
-    row, tail = _binomial_row(a, z, n, lower, d), _binomial_tail(b, z, n, d)
+def _convolution_numerator(a: int, b: int, z: int, n: int, d: int) -> int:
+    """``n! * d**n * S_0(a / d, b / d; z / d, n)``, 0 at ``n < 0``, with ``S_0(a, b; z, n) =
+    sum_k C(a - k*z, k) * C(b + k*z, n - k)``: ``sum_k C(n, k) * N_k * M_k`` over the falling
+    products ``N_k``, ``M_k`` of the two binomials. The lowered sum ``S_1``, with ``C(a - k*z,
+    k - 1)`` first, is ``S_0`` a degree down: ``S_1(a, b; z, n) = S_0(a - z, b + z; z, n - 1)``."""
+    row, tail = _binomial_row(a, z, n, d), _binomial_tail(b, z, n, d)
     return sum(map(operator.mul, row, tail))
 
 
 def _gould_sides(X: int, Y: int, Z: int, E: int, n: int, d: int) -> tuple[int, int]:
-    lhs = _convolution_numerator(X, Y, Z, n, 0, d)
-    return lhs, _convolution_numerator(X + E, Y - E, Z, n, 0, d)
+    lhs = _convolution_numerator(X, Y, Z, n, d)
+    return lhs, _convolution_numerator(X + E, Y - E, Z, n, d)
 
 
 def check_gould(
@@ -327,11 +323,6 @@ def check_pqkm(p: int, q: int, m: int, n: int) -> VerificationReport:
     _require_int(n, "n")
     d, (P, Q, M) = _scaled(p=p, q=q, m=m)
     return _report("pqkm", {"p": p, "q": q, "m": m, "n": n}, n, d, _gould_sides(P, Q, M, d, n, d))
-
-
-def _lowered_numerator(P: int, Q: int, M: int, J: int, n: int, d: int) -> int:
-    """``(n-1)! d**(n-1) S_1(p + j - 1, q - j; m, n)`` at ``p = P / d`` and so on."""
-    return _convolution_numerator(P + J - d, Q - J, M, n, 1, d)
 
 
 def shift_domain(p: int, q: int, m: int, n: int) -> bool:
@@ -362,9 +353,11 @@ def check_kmx(p: int, q: int, m: int, n: int) -> VerificationReport:
     _require_int(m, "m")
     d, (P, Q, M) = _scaled(p=p, q=q, m=m)
     _require_shift_domain(p, q, m, n)
-    # n * d lifts each lowered numerator from (n-1)! d**(n-1) to n! d**n
-    lowered = sum(_lowered_numerator(P, Q, M, j * d, n, d) for j in range(1, m + 1))
-    lhs = _convolution_numerator(P, Q, M, n, 0, d) + n * d * lowered
+    # the lowered sums S_1(p + i, q - 1 - i; m, n), i = j - 1, are S_0(p - m + i, q + m - 1 - i;
+    # m, n - 1); n * d lifts each numerator from (n-1)! d**(n-1) to n! d**n
+    A, B = P - M, Q + M - d
+    lowered = sum(_convolution_numerator(A + i * d, B - i * d, M, n - 1, d) for i in range(m))
+    lhs = _convolution_numerator(P, Q, M, n, d) + n * d * lowered
     return _report("kmx", {"p": p, "q": q, "m": m, "n": n}, n, d, (lhs, _falling(P + Q, n, d)))
 
 
@@ -381,8 +374,9 @@ def check_kmpink(p: int, q: int, m: int, n: int, j: int) -> VerificationReport:
     d, (P, Q, M, J) = _scaled(p=p, q=q, m=m, j=j)
     if not _kmpink_domain(p, q, m, n, j):
         raise NotInDomainError(f"j must lie in [1, m] = [1, {m}], got {j}")
-    sides = _lowered_numerator(P, Q, M, J, n, d), _lowered_numerator(P, Q, M, 0, n, d)
-    return _report("kmpink", {"p": p, "q": q, "m": m, "n": n, "j": j}, n - 1, d, sides)
+    # the two S_1 are gould's sides at (p - 1 - m, q + m, m, j, n - 1), swapped
+    rhs, lhs = _gould_sides(P - d - M, Q + M, M, J, n - 1, d)
+    return _report("kmpink", {"p": p, "q": q, "m": m, "n": n, "j": j}, n - 1, d, (lhs, rhs))
 
 
 def _side_cost(n: int) -> int:

@@ -718,6 +718,27 @@ def test_verify_every_registry_identity(capsys, identity, fmt):
             assert line.startswith(f"{identity} ") and ": PASS " in line
 
 
+STRAY_FLAGS = sorted(
+    (identity, name)
+    for identity, record in registry().items()
+    for name in dict.fromkeys(v for r in registry().values() for v in r.order)
+    if name not in record.order
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("identity, stray", STRAY_FLAGS)
+def test_verify_refuses_a_flag_the_identity_does_not_take(capsys, identity, stray, fmt):
+    # an ignored flag would check another tuple: qchu-m1 with --m 2 checks m = 1 and passes
+    flags, _, _ = REGISTRY_SWEEPS[identity]
+    code, out, err = run(
+        capsys, "verify", "--identity", identity, "--format", fmt, *flags, f"--{stray}=1"
+    )
+    assert (code, out) == (2, "")
+    takes = ", ".join(f"--{name}" for name in registry()[identity].order)
+    assert err == f"error: identity '{identity}' takes no --{stray}; it takes {takes}\n"
+
+
 def test_verify_exit_code_edges(capsys):
     # a negative n or m is an argument error, not an out-of-domain tuple
     code, out, err = run(capsys, "verify", "--identity", "kmx",

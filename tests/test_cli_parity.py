@@ -76,6 +76,9 @@ CASES = {
     "qchu-negative-m": "verify --identity qchu --x 2 --y 1 --m=-1 --n 1",
     "qchu-m1-negative-n": "verify --identity qchu-m1 --x 2 --y 1 --n=-1",
     "qword-negative-n": "verify --identity qword --p 2 --q 1 --m 1 --n=-1",
+    "qchu-m1-stray-m": "verify --identity qchu-m1 --x 4 --y 1 --n 2 --m 2",
+    "pqkm-stray-j-eps": "verify --identity pqkm --p 3 --q 1 --m 1 --n 2 --j 5 --eps 3",
+    "stray-before-missing": "verify --identity kmx --p 1 --q 1 --m 1 --x 1",
     "kmx-negative-n-before-cap": "verify --identity kmx --p 5000 --q 1 --m 1 --n=-1..3000",
     "rothe1-negative-n-before-cap": "verify --identity rothe1 --x 0 --y 1 --z 1 --n=-1..3000",
     # verify: a negative m or n on a tuple outside the domain

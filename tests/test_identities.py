@@ -616,7 +616,8 @@ def convolution(a, b, z, n, lower=0):
 )
 def test_convolution_matches_the_hand_written_sum(a, b, z, n, lower):
     d, (A, B, Z) = identities._scaled(a=a, b=b, z=z)
-    numerator = identities._convolution_numerator(A, B, Z, n, lower, d)
+    # k -> k + l: S_l(a, b; z, n) = S_0(a - l*z, b + l*z; z, n - l)
+    numerator = identities._convolution_numerator(A - lower * Z, B + lower * Z, Z, n - lower, d)
     assert repr(identities._side(numerator, n - lower, d)) == repr(convolution(a, b, z, n, lower))
 
 
@@ -626,8 +627,9 @@ def test_off_by_one_convolution_is_caught(monkeypatch):
     # side is the closed form C(p + q, n), which the fault cannot reach.
     numerator = identities._convolution_numerator
 
-    def lowered(a, b, z, n, lower, d):
-        return numerator(a, b, z, n, lower + 1, d)
+    def lowered(a, b, z, n, d):
+        # S_1 in place of S_0, through the reindexing S_1(a, b; z, n) = S_0(a - z, b + z; z, n - 1)
+        return numerator(a - z, b + z, z, n - 1, d)
 
     monkeypatch.setattr(identities, "_convolution_numerator", lowered)
     reports = [

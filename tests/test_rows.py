@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from rothe_lab import check_kmpink, check_kmx, check_pqkm, identities
+from rothe_lab import check_gould, check_kmpink, check_kmx, check_pqkm, identities
 
 GRID_RECORDS = ("rothe1", "rothe2", "gould")
 
@@ -167,6 +167,29 @@ def test_rows_match_the_oracle_at_rational_grid_arguments():
             point = [rng.randint(-20, 20) for _ in range(width)]
             sides = identities.IDENTITIES[name].sides(*point, n, d)
             assert sides == reference_sides(name, *point, n, d), (name, point, n, d)
+
+
+def convolution_row_misses():
+    builders = identities._binomial_row, identities._binomial_tail
+    return sum(builder.cache_info().misses for builder in builders)
+
+
+def test_kmpink_and_kmx_build_no_row_beyond_the_gould_checks_they_reduce_to():
+    # one row shape serves every binomial convolution: the lowered sums of kmpink
+    # and kmx are S_0 a degree down, so their rows are those of gould's sides
+    clear_rows()
+    for p, q, m, n in itertools.product((2, 3, Fraction(7, 2), 6), (1, 2), (1, 2), (1, 2, 3)):
+        for j in range(1, m + 1):
+            check_gould(p - 1 - m, q + m, m, j, n - 1)
+        built = convolution_row_misses()
+        for j in range(1, m + 1):
+            assert check_kmpink(p, q, m, n, j).passed
+        assert convolution_row_misses() == built, ("kmpink", p, q, m, n)
+        if p >= m * n:
+            check_gould(p, q, m, 0, n)
+            built = convolution_row_misses()
+            assert check_kmx(p, q, m, n).passed
+            assert convolution_row_misses() == built, ("kmx", p, q, m, n)
 
 
 def test_every_row_cache_is_bounded_by_one_constant():
