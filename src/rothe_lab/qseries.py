@@ -10,7 +10,6 @@ of shifted products, goes through one packed big-integer kernel,
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from collections import Counter
@@ -22,7 +21,7 @@ from operator import add, sub
 
 from .errors import NotInDomainError, UnsupportedArgumentError
 from .identities import Identity, VerificationReport, _require_shift_domain, shift_domain
-from .words import MAX_WORD_LENGTH, Grading, _b_positions
+from .words import MAX_WORD_LENGTH, Grading, _b_positions, _comb0
 
 
 class LaurentPolynomial:
@@ -325,10 +324,6 @@ def inv_generating_function(
     top = k * (length - 1) - k * (k - 1) // 2
     counts = Counter(map(sum, members))
     return LaurentPolynomial({top - s: c for s, c in counts.items()})
-
-
-def _comb0(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def _class_cost(p: int, k: int, m: int) -> int:

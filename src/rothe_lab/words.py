@@ -10,6 +10,7 @@ exactly ``k`` letters ``b``, in lexicographic order (``a`` before ``b``).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -97,6 +98,12 @@ def _gamma_length(p: int, k: int, m: int) -> int | None:
     """Length ``p - m k`` of the words of weight ``p`` with ``k`` letters ``b``;
     ``None`` when the class is empty: ``k < 0`` or ``p - (m + 1) k < 0``."""
     return None if k < 0 or p - (m + 1) * k < 0 else p - m * k
+
+
+def _comb0(n: int, k: int) -> int:
+    """``C(n, k)``, and 0 outside ``0 <= k <= n``: the size of the class of
+    length ``n`` with ``k`` letters ``b``."""
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def _b_positions(

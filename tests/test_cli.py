@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rothe_lab import NoMatchError, VerificationReport, cli, identities
+from rothe_lab import NoMatchError, VerificationReport, bijections, cli, identities
 
 
 def run(capsys, *argv):
@@ -203,7 +203,7 @@ def test_bijection_all_outside_domain_exit_2(capsys, kind, extra, fmt, p, q, m, 
 
 
 def test_bijection_detects_broken_map(capsys, monkeypatch):
-    monkeypatch.setattr(cli.bijections, "theorem1_forward", lambda w, p, q, g: w)
+    monkeypatch.setattr(bijections, "theorem1_forward", lambda w, p, q, g: w)
     code, out, _ = run(
         capsys, "bijection", "theorem1",
         "--p", "2", "--q", "1", "--m", "1", "--n", "2", "--all",
@@ -212,7 +212,7 @@ def test_bijection_detects_broken_map(capsys, monkeypatch):
     assert "BIJECTION FAILED" in out
 
     # a constant map repeats its image; the listing still covers every word
-    monkeypatch.setattr(cli.bijections, "theorem1_forward", lambda w, p, q, g: "bab")
+    monkeypatch.setattr(bijections, "theorem1_forward", lambda w, p, q, g: "bab")
     code, out, _ = run(
         capsys, "bijection", "theorem1",
         "--p", "2", "--q", "1", "--m", "1", "--n", "2", "--all", "--format", "json",
@@ -223,7 +223,7 @@ def test_bijection_detects_broken_map(capsys, monkeypatch):
     }
 
     # a broken compose fails the round trip of factorize
-    monkeypatch.setattr(cli.bijections, "compose", lambda d, p, q, g: "")
+    monkeypatch.setattr(bijections, "compose", lambda d, p, q, g: "")
     factorize = ("bijection", "factorize", "--p", "1", "--q", "1", "--m", "1", "--n", "1",
                  "--all")
     code, out, _ = run(capsys, *factorize)
@@ -510,22 +510,58 @@ def test_console_entry_point():
     assert "pqkm p=2 q=2 m=1 n=2: PASS 4" in proc.stdout
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # every rothe-lab run pays for its imports; -S keeps site from importing typing
+SUBMODULES = ("bijections", "cli", "errors", "identities", "qseries", "words")
+
+# how a run enters the package (an import statement, or the argv of one CLI
+# run) and the submodules that it must not load
+IMPORT_GRAPH = {
+    "package": ("import rothe_lab", SUBMODULES),
+    "cli": ("import rothe_lab.cli", ("bijections", "qseries")),
+    "bijections-and-cli": ("from rothe_lab import bijections, cli", ("qseries",)),
+    "grid-prove": (["grid-prove", "--identity", "rothe1", "--n", "2"], ("bijections", "qseries")),
+    "verify-rothe1": (["verify", "--identity", "rothe1", "--x", "1", "--y", "1", "--z", "1",
+                       "--n", "0..2"], ("bijections", "qseries")),
+    "enumerate": (["enumerate", "--p", "3", "--k", "1", "--m", "1"], ("bijections", "qseries")),
+    "verify-qchu": (["verify", "--identity", "qchu", "--x", "2", "--y", "1", "--m", "1",
+                     "--n", "1"], ("bijections",)),
+    "bijection": (["bijection", "factorize", "--p", "1", "--q", "1", "--m", "1", "--n", "1",
+                   "--all"], ("qseries",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPORT_GRAPH))
+def test_import_graph(case):
+    # every rothe-lab run pays for its imports: it loads only the submodules
+    # it uses, and never dataclasses, inspect or typing (-S keeps site from
+    # importing typing)
+    import ast
     import os
     import subprocess
     import sys
 
-    heavy = ("dataclasses", "inspect", "typing")
+    how, unused = IMPORT_GRAPH[case]
+    if not isinstance(how, str):
+        how = f"import rothe_lab.cli\nassert rothe_lab.cli.main({how!r}) == 0"
+    forbidden = {"dataclasses", "inspect", "typing", *(f"rothe_lab.{m}" for m in unused)}
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         f"import sys, rothe_lab.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+         f"{how}\nimport sys\nprint(sorted(sys.modules))"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\n"
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert "rothe_lab" in loaded
+    assert loaded & forbidden == set()
+
+
+def test_cli_tables_match_the_registry():
+    # the parser declares these without loading qseries; a record added to
+    # either registry must be added here too
+    records = registry()
+    assert cli.VARIABLES == tuple(dict.fromkeys(n for r in records.values() for n in r.order))
+    assert cli.IDENTITY_NAMES == tuple(sorted(records))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -860,7 +896,7 @@ BROKEN_INVARIANTS = {
 @pytest.mark.parametrize("case", sorted(BROKEN_INVARIANTS))
 def test_broken_bijection_invariant_exits_3(capsys, monkeypatch, case):
     attr, stand_in, argv, message = BROKEN_INVARIANTS[case]
-    monkeypatch.setattr(cli.bijections, attr, eval(stand_in))
+    monkeypatch.setattr(bijections, attr, eval(stand_in))
     code, out, err = run(capsys, "bijection", *argv)
     assert (code, out, err) == (3, "", f"internal error: {message}\n")
 
@@ -887,7 +923,7 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch, target, f
     def broken(w, p, q, g):
         raise NoMatchError(f"no equal-weight prefixes in {w!r}")
 
-    monkeypatch.setattr(cli.bijections, "decompose", broken)
+    monkeypatch.setattr(bijections, "decompose", broken)
     argv = ["bijection", "factorize", "--p", "1", "--q", "1", "--m", "1", "--n", "1",
             "--format", fmt, *(["--word", "ba"] if target == "--word" else ["--all"])]
     code, out, err = run(capsys, *argv)
