@@ -26,6 +26,7 @@ CASES = {
     # enumerate
     "enumerate": "enumerate --p 3 --k 1 --m 1",
     "enumerate-prefix": "enumerate --p 5 --k 2 --m 1 --prefix-weight 2",
+    "enumerate-prefix-m0": "enumerate --p 5 --k 2 --m 0 --prefix-weight 3",
     "enumerate-empty-word": "enumerate --p 0 --k 0 --m 0",
     "enumerate-empty-class": "enumerate --p 2 --k 3 --m 1",
     "enumerate-length-cap": "enumerate --p 27 --k 0 --m 0",
@@ -35,8 +36,10 @@ CASES = {
     "theorem1-word-inverse": "bijection theorem1 --p 1 --q 1 --m 1 --n 1 --word ba --inverse",
     "theorem1-all": "bijection theorem1 --p 2 --q 1 --m 1 --n 2 --all",
     "theorem1-all-inverse": "bijection theorem1 --p 2 --q 2 --m 1 --n 2 --all --inverse",
+    "theorem1-all-inverse-m2": "bijection theorem1 --p 4 --q 2 --m 2 --n 2 --all --inverse",
     "factorize-word": "bijection factorize --p 1 --q 1 --m 1 --n 1 --word ba",
     "factorize-all": "bijection factorize --p 2 --q 2 --m 1 --n 2 --all",
+    "factorize-all-m2": "bijection factorize --p 4 --q 1 --m 2 --n 2 --all",
     "theorem1-word-p-below-mn": "bijection theorem1 --p 0 --q 1 --m 1 --n 1 --word ba",
     "theorem1-word-q-0": "bijection theorem1 --p 1 --q 0 --m 0 --n 0 --word a",
     "theorem1-all-q-0": "bijection theorem1 --p 1 --q 0 --m 1 --n 1 --all",
