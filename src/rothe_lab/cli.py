@@ -205,13 +205,13 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     g = Grading(args.m)
-    if args.prefix_weight is None:
-        listing = words.enumerate_gamma(args.p, args.k, g)
-    else:
-        listing = words.enumerate_gamma_prefix(args.p, args.k, args.prefix_weight, g)
+    listing = words._words(args.p, args.k, g)
+    if args.prefix_weight is not None:
+        listing = (w for w in listing if words.has_prefix_of_weight(w, args.prefix_weight, g))
     length = args.p - args.k * args.m
     predicted = words._comb0(length, args.k)
-    for w in listing:
+    count = 0
+    for count, w in enumerate(listing, 1):
         if args.format == "json":
             entry = words.word_json(w, g)
             entry["inversions"] = words.inversions(w)
@@ -219,9 +219,9 @@ def cmd_enumerate(args) -> int:
         else:
             print(f"{_fmt_word(w)}  weight={words.weight(w, g)} inv={words.inversions(w)}")
     if args.format == "json":
-        print(json.dumps({"count": len(listing), "predicted": predicted}))
+        print(json.dumps({"count": count, "predicted": predicted}))
     else:
-        print(f"count {len(listing)}, predicted C({length},{args.k}) = {predicted}")
+        print(f"count {count}, predicted C({length},{args.k}) = {predicted}")
     return 0
 
 
@@ -280,37 +280,40 @@ def cmd_bijection(args) -> int:
         return 0
 
     identities._require_shift_domain(args.p, args.q, g.m, args.n)
-    domain = words.enumerate_gamma(args.p + args.q + g.m * args.n, args.n, g)
-    codomain = None
+    # the shift carries a weight-p prefix to a weight-(p + 1) prefix; every
+    # word has the empty prefix, of weight 0, so factorize maps the whole class
+    source = target = 0
     if args.kind == "theorem1":
-        # the shift carries a weight-p prefix to a weight-(p + 1) prefix
-        r, target = (args.p + 1, args.p) if args.inverse else (args.p, args.p + 1)
-        codomain = {w for w in domain if words.has_prefix_of_weight(w, target, g)}
-        domain = [w for w in domain if words.has_prefix_of_weight(w, r, g)]
-    problems: list[str] = []
-    images = set()
-    for w in domain:
+        source, target = (args.p + 1, args.p) if args.inverse else (args.p, args.p + 1)
+    # one pass over the class: the round trip is a left inverse, so it also
+    # fails on a repeated image, and the inverse refuses, with a ValueError,
+    # an image outside the target class
+    count = targets = 0
+    reason = None
+    for w in words._words(args.p + args.q + g.m * args.n, args.n, g):
+        targets += words.has_prefix_of_weight(w, target, g)
+        if not words.has_prefix_of_weight(w, source, g):
+            continue
+        count += 1
         image = apply(w, args.p, args.q, g)
         print(line(w, image, args))
-        if image in images:
-            problems.append(f"repeated image for {w}")
-        images.add(image)
-        if codomain is not None and image not in codomain:
-            problems.append(f"{w} maps to {image}, outside the target class")
-        elif undo(image, args.p, args.q, g) != w:
-            problems.append(f"round trip failed for {w}")
-    if codomain is not None and len(domain) != len(codomain):
-        problems.append(f"class sizes differ: {len(domain)} vs {len(codomain)}")
+        try:
+            if undo(image, args.p, args.q, g) != w:
+                reason = reason or f"round trip failed for {w}"
+        except ValueError:
+            reason = reason or f"{w} maps to {image}, outside the target class"
+    if count != targets:
+        reason = reason or f"class sizes differ: {count} vs {targets}"
     if args.format == "json":
-        record: dict = {"status": "failed" if problems else "ok", "count": len(domain)}
-        if problems:
-            record["reason"] = problems[0]
+        record: dict = {"status": "failed" if reason else "ok", "count": count}
+        if reason:
+            record["reason"] = reason
         print(json.dumps(record))
-    elif problems:
-        print(f"BIJECTION FAILED: {problems[0]}")
+    elif reason:
+        print(f"BIJECTION FAILED: {reason}")
     else:
-        print(f"BIJECTION OK ({len(domain)} words)")
-    return 1 if problems else 0
+        print(f"BIJECTION OK ({count} words)")
+    return 1 if reason else 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from operator import add, sub
 
 from .errors import NotInDomainError, UnsupportedArgumentError
 from .identities import Identity, VerificationReport, _require_shift_domain, shift_domain
-from .words import MAX_WORD_LENGTH, Grading, _b_positions, _comb0
+from .words import Grading, _comb0, _walk
 
 
 class LaurentPolynomial:
@@ -312,31 +312,29 @@ def gaussian_binomial(a: int, k: int) -> LaurentPolynomial:
     return LaurentPolynomial._dense(0, coeffs[: degree + 1])
 
 
-def inv_generating_function(
-    p: int, k: int, g: Grading, *, max_length: int = MAX_WORD_LENGTH
-) -> LaurentPolynomial:
+def inv_generating_function(p: int, k: int, g: Grading) -> LaurentPolynomial:
     """Sum of ``q ** inversions(w)`` over all words of weight ``p`` with ``k``
-    letters ``b``, by brute-force enumeration of their b-positions: the
-    ``t``-th ``b`` of a length-``L`` word, at index ``i_t``, precedes
-    ``L - 1 - i_t`` letters, ``k - 1 - t`` of them ``b``, so the word has
-    ``k(L-1) - k(k-1)/2 - sum_t i_t`` inversions."""
-    length, members = _b_positions(p, k, g, max_length)
-    top = k * (length - 1) - k * (k - 1) // 2
+    letters ``b``, by brute-force enumeration of their a-positions: the
+    ``t``-th ``a`` of a length-``L`` word, at index ``i_t``, follows
+    ``i_t - t`` letters ``b``, so the word has ``sum_t i_t - C(L-k, 2)``
+    inversions."""
+    length, members = _walk(p, k, g)
+    low = (length - k) * (length - k - 1) // 2
     counts = Counter(map(sum, members))
-    return LaurentPolynomial({top - s: c for s, c in counts.items()})
+    return LaurentPolynomial({s - low: c for s, c in counts.items()})
 
 
 def _class_cost(p: int, k: int, m: int) -> int:
     """Price of walking the class of weight ``p`` with ``k`` letters ``b``; it
     raises the grading's error for ``m < 0``, then the length cap's, as the walk would."""
-    _b_positions(p, k, Grading(m), MAX_WORD_LENGTH)
+    _walk(p, k, Grading(m))
     return _comb0(p - k * m, k) * max(1, p - m * k) + 1
 
 
 def check_cardinality(p: int, k: int, m: int) -> VerificationReport:
     """Class size oracle: enumeration finds ``C(p - k*m, k)`` words of weight
     ``p`` with ``k`` letters ``b`` (none when a letter count is negative)."""
-    _, members = _b_positions(p, k, Grading(m), MAX_WORD_LENGTH)
+    _, members = _walk(p, k, Grading(m))
     count = sum(1 for _ in members)
     return VerificationReport.from_sides(
         "cardinality",
@@ -428,17 +426,13 @@ def check_qchu_m1(x: int, y: int, n: int) -> VerificationReport:
     )
 
 
-def qweighted_bijection_check(
-    p: int, q: int, m: int, n: int, *, max_length: int = MAX_WORD_LENGTH
-) -> VerificationReport:
+def qweighted_bijection_check(p: int, q: int, m: int, n: int) -> VerificationReport:
     """Tie the word model to the algebra: the enumerated inversion generating
     function over the full weight class equals ``[p+q, n]`` and equals the
     structured double sum of :func:`check_qchu`."""
     _require_shift_domain(p, q, m, n)
     # the length cap is refused before either q-Chu side is computed
-    enumerated = inv_generating_function(
-        p + q + m * n, n, Grading(m), max_length=max_length
-    )
+    enumerated = inv_generating_function(p + q + m * n, n, Grading(m))
     bracket = gaussian_binomial(p + q, n)
     structured = _qchu_sum(p, q, m, n)
     params = {"p": p, "q": q, "m": m, "n": n}

@@ -106,55 +106,50 @@ def _comb0(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _b_positions(
-    p: int, k: int, g: Grading, max_length: int
-) -> tuple[int, Iterator[tuple[int, ...]]]:
-    """The word length of :func:`enumerate_gamma`'s class and its words as
-    the sorted tuples of their b-indices, in lex order of the tuples; ``(0,
-    ())`` when the class is empty. Raises :class:`CapExceededError` if the
-    word length would exceed ``max_length``."""
+def _walk(p: int, k: int, g: Grading) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """The word length of the class of weight ``p`` with ``k`` letters ``b``,
+    and its words, lazily, as the sorted tuples of their a-indices; these come
+    in the lex order of the words (``a`` < ``b``). ``(0, ())`` when the class
+    is empty. Raises :class:`CapExceededError` on the call, before any word,
+    if the word length would exceed :data:`MAX_WORD_LENGTH`."""
     length = _gamma_length(p, k, g.m)
     if length is None:
         return 0, iter(())
-    if length > max_length:
+    if length > MAX_WORD_LENGTH:
         raise CapExceededError(
-            f"enumerating words of length {length} exceeds the cap of {max_length}"
+            f"enumerating words of length {length} exceeds the cap of {MAX_WORD_LENGTH}"
         )
-    return length, itertools.combinations(range(length), k)
+    return length, itertools.combinations(range(length), length - k)
 
 
-def enumerate_gamma(
-    p: int, k: int, g: Grading, *, max_length: int = MAX_WORD_LENGTH
-) -> list[Word]:
+def _words(p: int, k: int, g: Grading) -> Iterator[Word]:
+    """The words of :func:`_walk`, spelled one at a time, in lex order."""
+    length, members = _walk(p, k, g)
+    base = ["b"] * length
+
+    def spell(positions: tuple[int, ...]) -> Word:
+        chars = base.copy()
+        for i in positions:
+            chars[i] = "a"
+        return "".join(chars)
+
+    return map(spell, members)
+
+
+def enumerate_gamma(p: int, k: int, g: Grading) -> list[Word]:
     """All words of weight ``p`` with exactly ``k`` letters ``b``, lex order.
 
     Such a word has ``p - (m + 1) * k`` letters ``a`` and length ``p - m * k``;
     the class is empty when the letter counts go negative. Raises
-    :class:`CapExceededError` if the word length would exceed ``max_length``.
+    :class:`CapExceededError` if the word length would exceed
+    :data:`MAX_WORD_LENGTH`.
     """
-    length, members = _b_positions(p, k, g, max_length)
-    base = ["a"] * length
-    out: list[Word] = []
-    for positions in members:
-        chars = base.copy()
-        for i in positions:
-            chars[i] = "b"
-        out.append("".join(chars))
-    # combinations yield b-position tuples in lex order, which is exactly the
-    # reverse of lex order on the words themselves (a < b)
-    out.reverse()
-    return out
+    return list(_words(p, k, g))
 
 
-def enumerate_gamma_prefix(
-    p: int, k: int, r: int, g: Grading, *, max_length: int = MAX_WORD_LENGTH
-) -> list[Word]:
+def enumerate_gamma_prefix(p: int, k: int, r: int, g: Grading) -> list[Word]:
     """The part of ``enumerate_gamma(p, k, g)`` having a prefix of weight ``r``."""
-    return [
-        w
-        for w in enumerate_gamma(p, k, g, max_length=max_length)
-        if has_prefix_of_weight(w, r, g)
-    ]
+    return [w for w in _words(p, k, g) if has_prefix_of_weight(w, r, g)]
 
 
 def inversions(w: Word) -> int:

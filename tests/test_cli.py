@@ -211,7 +211,8 @@ def test_bijection_detects_broken_map(capsys, monkeypatch):
     assert code == 1
     assert "BIJECTION FAILED" in out
 
-    # a constant map repeats its image; the listing still covers every word
+    # a constant map repeats its image, so the round trip fails on the second
+    # word; the listing still covers every word
     monkeypatch.setattr(bijections, "theorem1_forward", lambda w, p, q, g: "bab")
     code, out, _ = run(
         capsys, "bijection", "theorem1",
@@ -219,7 +220,7 @@ def test_bijection_detects_broken_map(capsys, monkeypatch):
     )
     assert code == 1
     assert json_lines(out)[-1] == {
-        "status": "failed", "count": 2, "reason": "repeated image for bba",
+        "status": "failed", "count": 2, "reason": "round trip failed for bba",
     }
 
     # a broken compose fails the round trip of factorize
@@ -234,6 +235,71 @@ def test_bijection_detects_broken_map(capsys, monkeypatch):
     assert json_lines(out)[-1] == {
         "status": "failed", "count": 2, "reason": "round trip failed for ab",
     }
+
+
+# a whole-class run at class size C(2n, n); m = 0, so every word of the class
+# has a prefix of every weight and theorem1 maps the whole class
+WHOLE_CLASS_RUNS = {
+    "theorem1": "bijection theorem1 --p {n} --q {n} --m 0 --n {n} --all",
+    "theorem1-inverse": "bijection theorem1 --p {n} --q {n} --m 0 --n {n} --all --inverse",
+    "factorize": "bijection factorize --p {n} --q {n} --m 0 --n {n} --all",
+    "enumerate": "enumerate --p {twice} --k {n} --m 0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_CLASS_RUNS))
+def test_whole_class_run_memory_does_not_grow_with_the_class(case):
+    # traced Python allocations, not RSS: the peak of a run over C(16, 8) =
+    # 12,870 words stays within 0.25 MiB of its peak over C(10, 5) = 252
+    import contextlib
+    import os
+    import shlex
+    import tracemalloc
+
+    def peak(n):
+        argv = shlex.split(WHOLE_CLASS_RUNS[case].format(n=n, twice=2 * n))
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.reset_peak()
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak(5)  # loads what the run imports
+        small, large = peak(5), peak(8)
+    finally:
+        tracemalloc.stop()
+    assert large - small <= 0.25 * 2**20, (small, large)
+
+
+# a broken map whose image the inverse refuses with a ValueError: a theorem1
+# image that is no word or has no prefix of weight p + 1 = 3, and a
+# decomposition that compose refuses (an InvariantViolationError)
+OUTSIDE_THE_TARGET_CLASS = {
+    "non-word": ("theorem1_forward", "xyz", "theorem1 --p 2 --q 1 --m 1 --n 2",
+                 ["bab → xyz", "bba → xyz"], "bab maps to xyz"),
+    "no-target-prefix": ("theorem1_forward", "bba", "theorem1 --p 2 --q 1 --m 1 --n 2",
+                         ["bab → bba", "bba → bba"], "bab maps to bba"),
+    "refused-decomposition": ("decompose", bijections.BranchA("ba"),
+                              "factorize --p 1 --q 1 --m 1 --n 1",
+                              ["ab: BranchA w=ba", "ba: BranchA w=ba"],
+                              "ab maps to BranchA(w='ba')"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(OUTSIDE_THE_TARGET_CLASS))
+def test_bijection_image_outside_the_target_class_exits_1(capsys, monkeypatch, case, fmt):
+    # a failed check, not a bad argument: exit 1 after listing every word
+    attr, image, argv, listing, fault = OUTSIDE_THE_TARGET_CLASS[case]
+    monkeypatch.setattr(bijections, attr, lambda w, p, q, g: image)
+    code, out, err = run(capsys, "bijection", *argv.split(), "--all", "--format", fmt)
+    assert (code, err) == (1, "")
+    reason = f"{fault}, outside the target class"
+    if fmt == "json":
+        assert json_lines(out)[-1] == {"status": "failed", "count": 2, "reason": reason}
+    else:
+        assert out.splitlines() == [*listing, f"BIJECTION FAILED: {reason}"]
 
 
 def test_verify_rothe2_single(capsys):

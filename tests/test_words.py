@@ -15,6 +15,7 @@ from rothe_lab import (
     reverse,
     weight,
     word_json,
+    words,
 )
 
 words_st = st.text(alphabet="ab", max_size=14)
@@ -103,11 +104,13 @@ def test_enumerate_gamma_counts_match_binomial():
                 assert len(enumerate_gamma(p, k, g)) == comb0(p - k * m, k)
 
 
-def test_enumerate_gamma_length_cap():
+def test_enumerate_gamma_length_cap(monkeypatch):
     assert len(enumerate_gamma(26, 0, Grading(0))) == 1
     with pytest.raises(CapExceededError):
         enumerate_gamma(27, 0, Grading(0))
-    assert enumerate_gamma(30, 1, Grading(0), max_length=30)
+    # the cap is read on each call
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 30)
+    assert enumerate_gamma(30, 1, Grading(0))
     # emptiness wins over the cap: no work is attempted
     assert enumerate_gamma(30, 40, Grading(0)) == []
 
