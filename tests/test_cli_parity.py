@@ -97,6 +97,9 @@ CASES = {
     "grid-prove-gould-offsets": "grid-prove --identity gould --n 2 --offsets=-1,0,2,0",
     "grid-prove-offset-count": "grid-prove --identity rothe1 --n 2 --offsets 1,2",
     "grid-prove-unsupported": "grid-prove --identity kmx --n 2",
+    "grid-prove-gould-mixed-offsets": "grid-prove --identity gould --n 3 --offsets=2,-3,1,-3",
+    "grid-prove-rothe1-n0-negative-offsets": "grid-prove --identity rothe1 --n 0 --offsets=-2,-1,-3",
+    "grid-prove-rothe2-mixed-offsets": "grid-prove --identity rothe2 --n 5 --offsets=-3,2,-1",
 }
 
 
