@@ -11,19 +11,24 @@ Every convolution side is computed in integers as a dot product
 ``sum_k row[k] * tail[k]``: ``row`` depends on the first argument and ``z``
 alone, ``tail`` on the second argument and ``z`` alone. Four row builders
 make the rows, each behind one ``functools.lru_cache`` of ``ROW_CACHE_SIZE``
-rows, so that across a grid or a sweep each row is built once per line;
-the checkers, sweeps and :func:`grid_prove` share them.
+rows; the checkers, sweeps and :func:`grid_prove` share them.
+
+The sides of ``rothe1``, ``rothe2`` and ``gould`` are evaluated on a whole
+tensor grid at once, one axis per grid variable: each row and tail is fetched
+once per ``(axis value, z)`` pair, a right side that depends on ``x + y``
+alone once per sum, and ``gould``'s left side, which does not depend on
+``eps``, once per ``(x, y, z)``. A point check is the one-point grid.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from fractions import Fraction
+from itertools import chain, islice, product, repeat
 
 from .errors import NotInDomainError, ParameterError
 from .words import Grading
@@ -89,10 +94,13 @@ class Identity(namedtuple("Identity", "check order cost sides defaults domain"))
 
     ``check`` takes every variable by keyword and returns a report. ``order``
     is the sweep order, the last variable varying fastest. ``sides`` is set
-    for a polynomial identity in every variable but the degree ``n``; it takes
-    those variables written over a common denominator ``d``, then ``n``, then
-    ``d``, and returns ``n! d**n`` times each side as an integer, a convolution
-    side as the dot product of two cached coefficient rows. The other
+    for a polynomial identity in every variable but the degree ``n``. It
+    evaluates a tensor grid: it takes one axis per such variable, each a
+    step-1 ``range`` of values written over a common denominator ``d`` (the
+    variable is ``v / d`` at each ``v`` of its axis), then ``n``, then ``d``,
+    and returns two lazy iterators, of ``n! d**n`` times the left and the
+    right side as integers, at the points of ``itertools.product`` of the
+    axes in that order. A single point is the one-point grid. The other
     callables take the variables positionally in sweep order: ``defaults``
     maps a variable that may be left unset to its range, computed from the
     variables before it; ``domain`` is the precondition, outside which
@@ -111,7 +119,7 @@ class Identity(namedtuple("Identity", "check order cost sides defaults domain"))
         check: Callable[..., VerificationReport],
         order: tuple[str, ...],
         cost: Callable[..., int],
-        sides: Callable[..., tuple[int, int]] | None = None,
+        sides: Callable[..., tuple[Iterator[int], Iterator[int]]] | None = None,
         defaults: Mapping[str, Callable[..., range]] | None = None,
         domain: Callable[..., bool] | None = None,
     ) -> Identity:
@@ -247,24 +255,46 @@ def _report(
 ) -> VerificationReport:
     """The report of an identity at ``params``, its two sides given as integers
     over ``degree! d**degree``."""
-    lhs, rhs = (_side(side, degree, d) for side in sides)
+    lhs, rhs = sides
+    if lhs == rhs:  # equal numerators over one denominator: one Fraction serves both sides
+        side = _side(lhs, degree, d)
+        return VerificationReport(identity, params, side, side, "pass")
+    lhs, rhs = _side(lhs, degree, d), _side(rhs, degree, d)
     return VerificationReport.from_sides(identity, params, lhs, rhs)
 
 
 def _rational_report(
-    identity: str, sides: Callable[..., tuple[int, int]], n: int, **values: RationalLike
+    identity: str, sides: Callable[..., tuple[Iterator[int], Iterator[int]]], n: int,
+    **values: RationalLike,
 ) -> VerificationReport:
     """The report of a rational identity at ``values`` and degree ``n``, its
-    two sides computed by ``sides`` over the common denominator."""
+    two sides computed by ``sides`` on the one-point grid over the common
+    denominator."""
     _require_natural(n, "n")
     d, scaled = _scaled(**values)
-    params = {**{name: Fraction(v) for name, v in values.items()}, "n": n}
-    return _report(identity, params, n, d, sides(*scaled, n, d))
+    params = {name: Fraction(v) for name, v in values.items()}
+    params["n"] = n
+    lhs, rhs = sides(*(range(v, v + 1) for v in scaled), n, d)
+    return _report(identity, params, n, d, (next(lhs), next(rhs)))
 
 
-def _rothe1_sides(X: int, Y: int, Z: int, n: int, d: int) -> tuple[int, int]:
-    row, tail = _coefficient_row(X, Z, n, d), _coefficient_tail(Y, Z, n, d)
-    return sum(map(operator.mul, row, tail)), _rothe_numerator(X + Y, Z, n, d)
+def _dot(row: tuple[int, ...], tail: tuple[int, ...]) -> int:
+    return sum(map(operator.mul, row, tail))
+
+
+def _sums(xs: range, ys: range) -> range:
+    """Every ``x + y`` over two step-1 axes."""
+    return range(xs.start + ys.start, xs.stop + ys.stop - 1)
+
+
+def _rothe1_sides(xs: range, ys: range, zs: range, n: int, d: int):
+    rows = [[_coefficient_row(X, Z, n, d) for Z in zs] for X in xs]
+    tails = [[_coefficient_tail(Y, Z, n, d) for Z in zs] for Y in ys]
+    # the right side depends on x + y and z alone
+    sums = [[_rothe_numerator(S, Z, n, d) for Z in zs] for S in _sums(xs, ys)]
+    lhs = chain.from_iterable(map(_dot, row, tail) for row in rows for tail in tails)
+    rhs = chain.from_iterable(sums[i + j] for i in range(len(xs)) for j in range(len(ys)))
+    return lhs, rhs
 
 
 def check_rothe1(
@@ -275,9 +305,16 @@ def check_rothe1(
     return _rational_report("rothe1", _rothe1_sides, n, x=x, y=y, z=z)
 
 
-def _rothe2_sides(X: int, Y: int, Z: int, n: int, d: int) -> tuple[int, int]:
-    row, tail = _coefficient_row(X, Z, n, d), _binomial_tail(Y, Z, n, d)
-    return sum(map(operator.mul, row, tail)), _falling(X + Y, n, d)
+def _rothe2_sides(xs: range, ys: range, zs: range, n: int, d: int):
+    rows = [[_coefficient_row(X, Z, n, d) for Z in zs] for X in xs]
+    tails = [[_binomial_tail(Y, Z, n, d) for Z in zs] for Y in ys]
+    # the right side depends on x + y alone
+    sums = [_falling(S, n, d) for S in _sums(xs, ys)]
+    lhs = chain.from_iterable(map(_dot, row, tail) for row in rows for tail in tails)
+    rhs = chain.from_iterable(
+        repeat(sums[i + j], len(zs)) for i in range(len(xs)) for j in range(len(ys))
+    )
+    return lhs, rhs
 
 
 def check_rothe2(
@@ -293,13 +330,33 @@ def _convolution_numerator(a: int, b: int, z: int, n: int, d: int) -> int:
     sum_k C(a - k*z, k) * C(b + k*z, n - k)``: ``sum_k C(n, k) * N_k * M_k`` over the falling
     products ``N_k``, ``M_k`` of the two binomials. The lowered sum ``S_1``, with ``C(a - k*z,
     k - 1)`` first, is ``S_0`` a degree down: ``S_1(a, b; z, n) = S_0(a - z, b + z; z, n - 1)``."""
-    row, tail = _binomial_row(a, z, n, d), _binomial_tail(b, z, n, d)
-    return sum(map(operator.mul, row, tail))
+    return _dot(_binomial_row(a, z, n, d), _binomial_tail(b, z, n, d))
 
 
-def _gould_sides(X: int, Y: int, Z: int, E: int, n: int, d: int) -> tuple[int, int]:
-    lhs = _convolution_numerator(X, Y, Z, n, d)
-    return lhs, _convolution_numerator(X + E, Y - E, Z, n, d)
+def _gould_sides(xs: range, ys: range, zs: range, es: range, n: int, d: int):
+    width = len(es)
+    # per z: the rows of every x and the tails of every y, for the left side; then
+    # the rows of every x + eps, increasing, and the tails of every y - eps,
+    # decreasing, so that at the i-th x and the j-th y from the end the e-th eps
+    # reads up[i + e] and down[j + e], whatever the signs of the eps
+    lowered = range(ys.stop - 1 - es.start, ys.start - es.stop, -1)
+    tables = [
+        ([_binomial_row(X, Z, n, d) for X in xs],
+         [_binomial_tail(Y, Z, n, d) for Y in ys],
+         [_binomial_row(X, Z, n, d) for X in _sums(xs, es)],
+         [_binomial_tail(Y, Z, n, d) for Y in lowered])
+        for Z in zs
+    ]
+    # the left side does not depend on eps: one value per (x, y, z), repeated
+    lhs = chain.from_iterable(
+        repeat(_dot(rows[i], tails[j]), width)
+        for i in range(len(xs)) for j in range(len(ys)) for rows, tails, _, _ in tables
+    )
+    rhs = chain.from_iterable(
+        map(_dot, up[i:i + width], down[j:j + width])
+        for i in range(len(xs)) for j in reversed(range(len(ys))) for _, _, up, down in tables
+    )
+    return lhs, rhs
 
 
 def check_gould(
@@ -322,7 +379,8 @@ def check_pqkm(p: int, q: int, m: int, n: int) -> VerificationReport:
     Both sums are empty, so both sides are 0, at ``n < 0``."""
     _require_int(n, "n")
     d, (P, Q, M) = _scaled(p=p, q=q, m=m)
-    return _report("pqkm", {"p": p, "q": q, "m": m, "n": n}, n, d, _gould_sides(P, Q, M, d, n, d))
+    sides = _convolution_numerator(P, Q, M, n, d), _convolution_numerator(P + d, Q - d, M, n, d)
+    return _report("pqkm", {"p": p, "q": q, "m": m, "n": n}, n, d, sides)
 
 
 def shift_domain(p: int, q: int, m: int, n: int) -> bool:
@@ -374,8 +432,10 @@ def check_kmpink(p: int, q: int, m: int, n: int, j: int) -> VerificationReport:
     d, (P, Q, M, J) = _scaled(p=p, q=q, m=m, j=j)
     if not _kmpink_domain(p, q, m, n, j):
         raise NotInDomainError(f"j must lie in [1, m] = [1, {m}], got {j}")
-    # the two S_1 are gould's sides at (p - 1 - m, q + m, m, j, n - 1), swapped
-    rhs, lhs = _gould_sides(P - d - M, Q + M, M, J, n - 1, d)
+    # the two S_1 are S_0 a degree down: gould's sides at (p - 1 - m, q + m, m, j, n - 1), swapped
+    A, B = P - d - M, Q + M
+    lhs = _convolution_numerator(A + J, B - J, M, n - 1, d)
+    rhs = _convolution_numerator(A, B, M, n - 1, d)
     return _report("kmpink", {"p": p, "q": q, "m": m, "n": n, "j": j}, n - 1, d, (lhs, rhs))
 
 
@@ -462,13 +522,13 @@ def grid_prove(
         )
     for offset in offsets:
         _require_int(offset, "each offset")
+    axes = [range(off, off + n + 1) for off in offsets]
     # comparing numerators suffices: d = 1 here, so both sides lie over the same positive n!
-    for count, point in enumerate(
-        itertools.product(*(range(off, off + n + 1) for off in offsets)), 1
-    ):
-        lhs, rhs = record.sides(*point, n, 1)
+    status, where = "pass", None
+    for count, (lhs, rhs) in enumerate(zip(*record.sides(*axes, n, 1)), 1):
         if lhs != rhs:
+            point = next(islice(product(*axes), count - 1, None))
+            status, where = "fail", dict(zip(variables, point))
             break
     params = {"n": n, "offsets": list(offsets), "grid_points": count}
-    status, where = ("pass", None) if lhs == rhs else ("fail", dict(zip(variables, point)))
     return VerificationReport(identity, params, _side(lhs, n, 1), _side(rhs, n, 1), status, where)

@@ -41,7 +41,10 @@ class Grading(namedtuple("Grading", "m")):
 
 
 def b_count(w: Word) -> int:
-    """Number of letters ``b`` in ``w``, once every letter is checked."""
+    """Number of letters ``b`` in ``w``, once every letter is checked; a ``w``
+    that is no string is refused with the same ``ValueError``."""
+    if not isinstance(w, str):
+        raise ValueError(f"word {w!r} is not a string")
     n = w.count("b")
     if w.count("a") + n != len(w):
         raise ValueError(f"word {w!r} contains letters other than 'a'/'b'")

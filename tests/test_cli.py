@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import shlex
@@ -273,9 +274,11 @@ def test_whole_class_run_memory_does_not_grow_with_the_class(case):
 
 
 # a broken map whose image the inverse refuses with a ValueError: a theorem1
-# image that is no word or has no prefix of weight p + 1 = 3, and a
-# decomposition that compose refuses (an InvariantViolationError)
+# image that is no string, no word or has no prefix of weight p + 1 = 3, and
+# a decomposition that compose refuses (an InvariantViolationError)
 OUTSIDE_THE_TARGET_CLASS = {
+    "non-string": ("theorem1_forward", None, "theorem1 --p 2 --q 1 --m 1 --n 2",
+                   ["bab → ε", "bba → ε"], "bab maps to None"),
     "non-word": ("theorem1_forward", "xyz", "theorem1 --p 2 --q 1 --m 1 --n 2",
                  ["bab → xyz", "bba → xyz"], "bab maps to xyz"),
     "no-target-prefix": ("theorem1_forward", "bba", "theorem1 --p 2 --q 1 --m 1 --n 2",
@@ -547,7 +550,9 @@ def test_grid_prove_bad_identity_exit_2(capsys):
 
 def test_grid_prove_failure_exit_1(capsys, monkeypatch):
     # grid_prove compares the integer sides and never calls the checker
-    entry = identities.IDENTITIES["rothe1"]._replace(sides=lambda x, y, z, n, d: (0, 1))
+    entry = identities.IDENTITIES["rothe1"]._replace(
+        sides=lambda xs, ys, zs, n, d: (itertools.repeat(0), itertools.repeat(1))
+    )
     monkeypatch.setitem(identities.IDENTITIES, "rothe1", entry)
     code, out, _ = run(capsys, "grid-prove", "--identity", "rothe1", "--n", "1")
     assert code == 1

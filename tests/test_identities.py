@@ -396,7 +396,8 @@ def test_grid_prove_catches_one_wrong_interior_point(monkeypatch, name):
 
     def wrong_once(*args):
         lhs, rhs = sides(*args)
-        return (lhs + 1, rhs) if args[: len(variables)] == bad else (lhs, rhs)
+        points = itertools.product(*args[: len(variables)])
+        return (side + 1 if point == bad else side for side, point in zip(lhs, points)), rhs
 
     # no checker is called: the record keeps no check at all
     entry = record._replace(sides=wrong_once, check=None)
@@ -406,7 +407,7 @@ def test_grid_prove_catches_one_wrong_interior_point(monkeypatch, name):
     assert rep.status == "fail"
     assert rep.params["grid_points"] == index
     assert rep.counterexample == dict(zip(variables, bad))
-    truth = sides(*bad, n, 1)
+    truth = [next(side) for side in sides(*(range(v, v + 1) for v in bad), n, 1)]
     assert (rep.lhs, rep.rhs) == (Fraction(truth[0] + 1, 2), Fraction(truth[1], 2))
 
 
@@ -414,14 +415,13 @@ def degree_violations(sides, width, n, bases):
     """Each ``(side, variable, base)`` at which the ``(n+1)``-th forward
     difference of an integer side, in one grid variable from an integer base
     point, is not zero: there that side has degree above ``n`` in the
-    variable, and an ``(n+1)``-point grid would prove nothing."""
+    variable, and an ``(n+1)``-point grid would prove nothing. Each
+    difference reads the sides on one ``(n+2)``-point axis."""
     found = []
     for base, var in itertools.product(bases, range(width)):
-        values = []
-        for step in range(n + 2):
-            point = list(base)
-            point[var] += step
-            values.append(sides(*point, n, 1))
+        axes = [range(v, v + 1) for v in base]
+        axes[var] = range(base[var], base[var] + n + 2)
+        values = list(zip(*sides(*axes, n, 1)))
         for side in (0, 1):
             difference = sum(
                 (-1) ** (n + 1 - step) * math.comb(n + 1, step) * values[step][side]
@@ -459,8 +459,9 @@ def test_degree_test_catches_a_mutant_that_passes_the_grid(monkeypatch, name):
 
     def mutant(*args):
         lhs, rhs = sides(*args)
-        x, n = args[0], args[-2]
-        return lhs + math.prod(x - t for t in range(n + 1)), rhs
+        points, n = itertools.product(*args[:width]), args[-2]
+        return (side + math.prod(point[0] - t for t in range(n + 1))
+                for side, point in zip(lhs, points)), rhs
 
     monkeypatch.setitem(identities.IDENTITIES, name, record._replace(sides=mutant))
     for n, bases in degree_sample(width):

@@ -3,13 +3,16 @@
 Every convolution side is a dot product of cached rows. Here each integer side
 is written out again as a sum of products of falling factors, with no row and
 no cache, and compared at every point of small grids and at seeded rational
-points, once with the row caches emptied before each point and once warm.
+points, once with the row caches emptied before each point and once warm, and
+with the two streams of whole grids, point by point in product order.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from rothe_lab import check_gould, check_kmpink, check_kmx, check_pqkm, identities
 
@@ -75,6 +78,12 @@ def reference_report_sides(name, p, q, m, n, j=None):
     return tuple(over(s, n - 1, d) for s in sides)
 
 
+def point_sides(name, point, n, d):
+    """The two integer sides of a grid record at one point: its one-point grid."""
+    axes = (range(v, v + 1) for v in point)
+    return tuple(next(side) for side in identities.IDENTITIES[name].sides(*axes, n, d))
+
+
 def row_caches():
     """Every ``functools`` cache of the identities module."""
     return [v for v in vars(identities).values() if callable(getattr(v, "cache_clear", None))]
@@ -137,7 +146,7 @@ def evaluate(cases, cold):
             out.append((report.lhs, report.rhs))
         else:
             point, n = args
-            out.append(identities.IDENTITIES[name].sides(*point, n, 1))
+            out.append(point_sides(name, point, n, 1))
     return out
 
 
@@ -165,7 +174,7 @@ def test_rows_match_the_oracle_at_rational_grid_arguments():
         for _ in range(60):
             d, n = rng.randint(2, 6), rng.randint(0, 9)
             point = [rng.randint(-20, 20) for _ in range(width)]
-            sides = identities.IDENTITIES[name].sides(*point, n, d)
+            sides = point_sides(name, point, n, d)
             assert sides == reference_sides(name, *point, n, d), (name, point, n, d)
 
 
@@ -199,3 +208,74 @@ def test_every_row_cache_is_bounded_by_one_constant():
         assert cache.cache_parameters()["maxsize"] == identities.ROW_CACHE_SIZE
     assert isinstance(identities.ROW_CACHE_SIZE, int) and identities.ROW_CACHE_SIZE > 0
 
+
+def stream_cases():
+    """``(name, axes, n, d)``: seeded tensor grids of every grid record at ``n``
+    from 0 and ``d`` up to 3, with axes of one to ``n + 2`` values; and gould
+    grids whose eps axis is all negative, mixed in sign, all positive or one
+    value, beside one-element and empty axes."""
+    rng = random.Random(1901)
+
+    def axis(length):
+        start = rng.randint(-6, 6)
+        return range(start, start + length)
+
+    cases = []
+    for name in GRID_RECORDS:
+        width = len(identities.IDENTITIES[name].grid_variables)
+        for n, d in itertools.product(range(4), (1, 2, 3)):
+            for _ in range(3):
+                cases.append((name, [axis(rng.randint(1, n + 2)) for _ in range(width)], n, d))
+            cases.append((name, [axis(1) for _ in range(width)], n, d))
+        cases.append((name, [axis(2) for _ in range(width - 1)] + [axis(0)], 2, 1))
+        cases.append((name, [axis(0)] + [axis(2) for _ in range(width - 1)], 2, 1))
+    for eps in (range(-4, -1), range(-3, -2), range(-2, 3), range(-1, 1), range(0, 1),
+                range(2, 5), range(-5, -4)):
+        for n in (0, 1, 3):
+            lengths = [rng.randint(1, 3) for _ in range(3)]
+            cases.append(("gould", [axis(k) for k in lengths] + [eps], n, rng.choice((1, 2))))
+    return cases
+
+
+def test_grid_streams_match_the_oracle_at_every_point_in_product_order():
+    for name, axes, n, d in stream_cases():
+        lhs, rhs = (list(side) for side in identities.IDENTITIES[name].sides(*axes, n, d))
+        expected = [reference_sides(name, *point, n, d) for point in itertools.product(*axes)]
+        assert lhs == [side for side, _ in expected], (name, axes, n, d)
+        assert rhs == [side for _, side in expected], (name, axes, n, d)
+
+
+@pytest.mark.parametrize("name", GRID_RECORDS)
+def test_grid_prove_fetches_each_row_once_per_axis_pair_not_per_point(name):
+    # gould reads the rows of x and of x + eps at every z, each once: at most
+    # (n + 1)(3n + 2) calls per builder, against (n + 1)**v points
+    width = len(identities.IDENTITIES[name].grid_variables)
+    offsets = (1, -2, 0, -3)[:width]
+    for n in (4, 7):
+        clear_rows()
+        assert identities.grid_prove(name, n, offsets).passed
+        calls = {cache.__name__: cache.cache_info().hits + cache.cache_info().misses
+                 for cache in row_caches()}
+        assert 0 < max(calls.values()) <= 3 * (n + 1) ** 2 < (n + 1) ** width, (n, calls)
+
+
+def test_grid_prove_memory_does_not_follow_the_point_count():
+    # with the rows cached, the traced peak is the per-grid tables of rows,
+    # O((n + 1)**2) references; one reference per point from n = 6 to n = 12
+    # (2,401 to 28,561 points) would add about 204 KiB
+    import tracemalloc
+
+    def peak(n):
+        clear_rows()
+        identities.grid_prove("gould", n)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert identities.grid_prove("gould", n).params["grid_points"] == (n + 1) ** 4
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        small, large = peak(6), peak(12)
+    finally:
+        tracemalloc.stop()
+    assert large - small <= 2**16, (small, large)

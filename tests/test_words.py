@@ -45,6 +45,13 @@ def test_bad_letters_rejected():
         inversions("ba x")
 
 
+@pytest.mark.parametrize("w", [None, ["a", "b"], ("b",), 7])
+def test_b_count_refuses_a_non_string(w):
+    # a list of letters has a count method, and would be counted as a word
+    with pytest.raises(ValueError, match="is not a string"):
+        b_count(w)
+
+
 def test_weight_examples():
     assert weight("", Grading(1)) == 0
     assert weight("ab", Grading(1)) == 3
