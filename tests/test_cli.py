@@ -449,6 +449,20 @@ def test_verify_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("value, message", [
+    ("abc", "$ROTHE_LAB_CAP must be an integer, got 'abc'"),
+    ("0", "$ROTHE_LAB_CAP must be positive, got 0"),
+])
+def test_verify_bad_cap_env_exit_2(capsys, monkeypatch, value, message, fmt):
+    monkeypatch.setenv(cli.CAP_ENV_VAR, value)
+    code, out, err = run(
+        capsys, "verify", "--identity", "kmx", "--p", "1", "--q", "1", "--m", "1", "--n", "1",
+        "--format", fmt,
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_length_cap_breach_exit_2(capsys):
     code, _, err = run(
         capsys, "verify", "--identity", "cardinality", "--p", "30", "--k", "0", "--m", "0"

@@ -91,6 +91,12 @@ CASES = {
     "qword-negative-m-outside": "verify --identity qword --p=-5 --q 1 --m=-1 --n 1",
     "kmx-negative-n-outside": "verify --identity kmx --p=-9 --q 1 --m 1 --n=-1",
     "qchu-m1-negative-n-outside": "verify --identity qchu-m1 --x=-5 --y 1 --n=-1",
+    # verify: values that do not parse, and a range too long for len()
+    "range-without-end": "verify --identity rothe1 --y 1 --z 1 --n 1 --x=1..",
+    "empty-range": "verify --identity rothe1 --y 1 --z 1 --n 1 --x=3..1",
+    "bad-value": "verify --identity rothe1 --y 1 --z 1 --n 1 --x=abc",
+    "zero-denominator": "verify --identity rothe1 --x 1 --y 1 --z=1/0 --n 1",
+    "huge-range-cap": "verify --identity rothe1 --x=0..100000000000000000000 --y 1 --z 1 --n 1",
     # grid-prove
     "grid-prove-rothe1": "grid-prove --identity rothe1 --n 3",
     "grid-prove-rothe2-n0": "grid-prove --identity rothe2 --n 0",
@@ -100,6 +106,7 @@ CASES = {
     "grid-prove-gould-mixed-offsets": "grid-prove --identity gould --n 3 --offsets=2,-3,1,-3",
     "grid-prove-rothe1-n0-negative-offsets": "grid-prove --identity rothe1 --n 0 --offsets=-2,-1,-3",
     "grid-prove-rothe2-mixed-offsets": "grid-prove --identity rothe2 --n 5 --offsets=-3,2,-1",
+    "grid-prove-empty-offset": "grid-prove --identity rothe1 --n 1 --offsets=1,,2",
 }
 
 
