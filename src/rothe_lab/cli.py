@@ -27,12 +27,8 @@ from .words import Grading
 DEFAULT_WORK_CAP = 10_000_000
 CAP_ENV_VAR = "ROTHE_LAB_CAP"
 
-# the verify flags in registry order and the identity names of the verify
-# help, stated here so that building the parser loads no ``qseries``; a test
-# pins both to the registry
-VARIABLES = ("x", "y", "z", "n", "eps", "p", "q", "m", "j", "k")
-IDENTITY_NAMES = ("cardinality", "gould", "invw", "kmpink", "kmx", "pqkm", "qchu", "qchu-m1",
-                  "qword", "rothe1", "rothe2")
+# the verify flags, in registry order
+VARIABLES = tuple(dict.fromkeys(name for r in identities.IDENTITIES.values() for name in r.order))
 
 
 class UsageError(Exception):
@@ -41,12 +37,6 @@ class UsageError(Exception):
 
 def _fmt_word(w: str) -> str:
     return w if w else "ε"
-
-
-def _registry() -> dict[str, Identity]:
-    from . import qseries
-
-    return {**identities.IDENTITIES, **qseries.IDENTITIES}
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +119,10 @@ def _emit_report(report: VerificationReport, fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    # only a q-record, or the list of every name, needs qseries
-    registry = identities.IDENTITIES
-    if args.identity not in registry:
-        registry = _registry()
-    record = registry.get(args.identity)
+    record = identities.IDENTITIES.get(args.identity)
     if record is None:
-        raise UsageError(
-            f"unknown identity {args.identity!r}; choose from {', '.join(sorted(registry))}"
-        )
+        raise UsageError(f"unknown identity {args.identity!r}; "
+                         f"choose from {', '.join(sorted(identities.IDENTITIES))}")
     stray = [name for name in VARIABLES
              if name not in record.order and getattr(args, name) is not None]
     if stray:
@@ -385,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run an identity checker over parameter ranges")
     sp.add_argument("--identity", required=True,
-                    help=f"one of: {', '.join(IDENTITY_NAMES)}")
+                    help=f"one of: {', '.join(sorted(identities.IDENTITIES))}")
     for name in VARIABLES:
         sp.add_argument(f"--{name}", help="single value or inclusive range LO..HI")
     sp.add_argument("--fail-fast", action="store_true",

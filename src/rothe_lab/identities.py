@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain, islice, product, repeat
 
 from .errors import NotInDomainError, ParameterError
-from .words import Grading
+from .words import Grading, _class_cost
 
 RationalLike = int | Fraction
 
@@ -186,11 +186,12 @@ def _rothe_numerator(x: int, z: int, k: int, d: int) -> int:
 
 
 # The coefficient rows of the convolution sides below. A row depends on one
-# argument and ``z`` alone, so across a grid or a sweep each row recurs and is
-# built once. Every builder keeps its last ROW_CACHE_SIZE rows.
+# argument and ``z`` alone, so it recurs across the checks of a sweep and
+# across grids. Every builder keeps its last ROW_CACHE_SIZE rows.
 
 ROW_CACHE_SIZE = 4096
-"""Rows kept per row builder: every row of a grid up to about ``n = 30``."""
+"""Rows kept per row builder. One grid call fetches each of its rows once,
+whatever this size; the caches serve the rows again to later checks and grids."""
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -402,6 +403,12 @@ def _require_shift_domain(p: int, q: int, m: int, n: int, names=("p", "q")) -> N
         raise NotInDomainError(f"need {a} >= m*n and {b} >= 1, got {a}={p}, {b}={q}, m={m}, n={n}")
 
 
+def _invw_domain(p: int, k: int, m: int) -> bool:
+    if m < 0:
+        Grading(m)  # raises the grading's refusal
+    return p >= k * m
+
+
 def check_kmx(p: int, q: int, m: int, n: int) -> VerificationReport:
     """Two-branch counting identity
     ``S_0(p, q; m, n) + sum_{j=1}^{m} S_1(p + j - 1, q - j; m, n) == C(p + q, n)``,
@@ -452,6 +459,18 @@ def _degree_cost(n: int, sides: int) -> int:
     return sides * _side_cost(n)
 
 
+def _qseries(name: str) -> Callable[..., VerificationReport]:
+    """The checker ``name`` of :mod:`rothe_lab.qseries`, which is imported on
+    the first call: a run that checks no q-identity never loads it."""
+
+    def check(*args, **kwargs) -> VerificationReport:
+        from . import qseries
+
+        return getattr(qseries, name)(*args, **kwargs)
+
+    return check
+
+
 IDENTITIES: dict[str, Identity] = {
     "rothe1": Identity(
         check=check_rothe1,
@@ -491,9 +510,38 @@ IDENTITIES: dict[str, Identity] = {
         domain=_kmpink_domain,
         cost=lambda p, q, m, n, j: 2 * _side_cost(n),
     ),
+    "cardinality": Identity(
+        check=_qseries("check_cardinality"),
+        order=("p", "k", "m"),
+        cost=_class_cost,
+    ),
+    "invw": Identity(
+        check=_qseries("check_invw"),
+        order=("p", "k", "m"),
+        domain=_invw_domain,
+        cost=_class_cost,
+    ),
+    "qchu": Identity(
+        check=_qseries("check_qchu"),
+        order=("x", "y", "m", "n"),
+        domain=shift_domain,
+        cost=lambda x, y, m, n: (n + 1) ** 2 * (m + 1) + 1,
+    ),
+    "qchu-m1": Identity(
+        check=_qseries("check_qchu_m1"),
+        order=("x", "y", "n"),
+        domain=lambda x, y, n: shift_domain(x, y, 1, n),
+        cost=lambda x, y, n: 2 * (n + 1) ** 2 + 1,
+    ),
+    "qword": Identity(
+        check=_qseries("qweighted_bijection_check"),
+        order=("p", "q", "m", "n"),
+        domain=shift_domain,
+        cost=lambda p, q, m, n: _class_cost(p + q + m * n, n, m) + (n + 1) ** 2 * (m + 1),
+    ),
 }
-"""The rational and integer identities by name; :mod:`rothe_lab.qseries`
-holds the q-identities and the word-class oracles."""
+"""Every identity by name; the checkers of the last five, the q-identities and
+the word-class oracles, are in :mod:`rothe_lab.qseries`."""
 
 
 def grid_prove(

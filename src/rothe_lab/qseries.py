@@ -20,7 +20,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from .errors import NotInDomainError, UnsupportedArgumentError
-from .identities import Identity, VerificationReport, _require_shift_domain, shift_domain
+from .identities import VerificationReport, _invw_domain, _require_shift_domain
 from .words import Grading, _comb0, _walk
 
 
@@ -75,6 +75,10 @@ class LaurentPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _dense, past the refusing __setattr__
+        return LaurentPolynomial._dense, (self._offset, self._coeffs)
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -324,13 +328,6 @@ def inv_generating_function(p: int, k: int, g: Grading) -> LaurentPolynomial:
     return LaurentPolynomial({s - low: c for s, c in counts.items()})
 
 
-def _class_cost(p: int, k: int, m: int) -> int:
-    """Price of walking the class of weight ``p`` with ``k`` letters ``b``; it
-    raises the grading's error for ``m < 0``, then the length cap's, as the walk would."""
-    _walk(p, k, Grading(m))
-    return _comb0(p - k * m, k) * max(1, p - m * k) + 1
-
-
 def check_cardinality(p: int, k: int, m: int) -> VerificationReport:
     """Class size oracle: enumeration finds ``C(p - k*m, k)`` words of weight
     ``p`` with ``k`` letters ``b`` (none when a letter count is negative)."""
@@ -342,12 +339,6 @@ def check_cardinality(p: int, k: int, m: int) -> VerificationReport:
         Fraction(count),
         Fraction(_comb0(p - k * m, k)),
     )
-
-
-def _invw_domain(p: int, k: int, m: int) -> bool:
-    if m < 0:
-        Grading(m)  # raises the grading's refusal
-    return p >= k * m
 
 
 def check_invw(p: int, k: int, m: int) -> VerificationReport:
@@ -443,38 +434,3 @@ def qweighted_bijection_check(p: int, q: int, m: int, n: int) -> VerificationRep
     return VerificationReport(
         "qword", params, enumerated, bracket, "fail", counterexample
     )
-
-
-IDENTITIES: dict[str, Identity] = {
-    "cardinality": Identity(
-        check=check_cardinality,
-        order=("p", "k", "m"),
-        cost=_class_cost,
-    ),
-    "invw": Identity(
-        check=check_invw,
-        order=("p", "k", "m"),
-        domain=_invw_domain,
-        cost=_class_cost,
-    ),
-    "qchu": Identity(
-        check=check_qchu,
-        order=("x", "y", "m", "n"),
-        domain=shift_domain,
-        cost=lambda x, y, m, n: (n + 1) ** 2 * (m + 1) + 1,
-    ),
-    "qchu-m1": Identity(
-        check=check_qchu_m1,
-        order=("x", "y", "n"),
-        domain=lambda x, y, n: shift_domain(x, y, 1, n),
-        cost=lambda x, y, n: 2 * (n + 1) ** 2 + 1,
-    ),
-    "qword": Identity(
-        check=qweighted_bijection_check,
-        order=("p", "q", "m", "n"),
-        domain=shift_domain,
-        cost=lambda p, q, m, n: _class_cost(p + q + m * n, n, m) + (n + 1) ** 2 * (m + 1),
-    ),
-}
-"""The q-identities and the word-class oracles by name; the rational and
-integer identities are in :data:`rothe_lab.identities.IDENTITIES`."""

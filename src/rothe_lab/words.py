@@ -125,6 +125,13 @@ def _walk(p: int, k: int, g: Grading) -> tuple[int, Iterator[tuple[int, ...]]]:
     return length, itertools.combinations(range(length), length - k)
 
 
+def _class_cost(p: int, k: int, m: int) -> int:
+    """Price of walking the class of weight ``p`` with ``k`` letters ``b``; it
+    raises the grading's error for ``m < 0``, then the length cap's, as the walk would."""
+    _walk(p, k, Grading(m))
+    return _comb0(p - k * m, k) * max(1, p - m * k) + 1
+
+
 def _words(p: int, k: int, g: Grading) -> Iterator[Word]:
     """The words of :func:`_walk`, spelled one at a time, in lex order."""
     length, members = _walk(p, k, g)

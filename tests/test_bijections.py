@@ -345,6 +345,10 @@ def test_compose_invariant_violations():
         compose(BranchA("ba"), 1, 1, g)  # no prefix of weight 1
     with pytest.raises(InvariantViolationError):
         compose(BranchA("ab"), 1, 0, g)  # q < 1
+    with pytest.raises(InvariantViolationError, match=r"^k=0 outside \[1, 1\]$"):
+        compose(BranchB(j=1, k=0, u_prime="", v="a"), 1, 1, g)  # k < 1
+    with pytest.raises(InvariantViolationError, match=r"^v='aa' is not in the class of weight 1"):
+        compose(BranchB(j=1, k=1, u_prime="", v="aa"), 1, 1, g)  # wrong v weight
 
 
 def test_decompose_compose_roundtrip_invariant_ranges():

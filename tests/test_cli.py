@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +22,14 @@ def run(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.splitlines() if line]
+
+
+def python(*argv, timeout=60):
+    """Run a fresh interpreter on ``argv`` with this checkout's ``src`` as its
+    path, whatever the path of the test run."""
+    src = str(Path(__file__).parents[1] / "src")
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": src})
 
 
 def patch_check(monkeypatch, identity, check):
@@ -253,8 +264,6 @@ def test_whole_class_run_memory_does_not_grow_with_the_class(case):
     # traced Python allocations, not RSS: the peak of a run over C(16, 8) =
     # 12,870 words stays within 0.25 MiB of its peak over C(10, 5) = 252
     import contextlib
-    import os
-    import shlex
     import tracemalloc
 
     def peak(n):
@@ -582,15 +591,8 @@ def test_cli_deterministic_output(capsys):
 
 
 def test_console_entry_point():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "rothe_lab.cli", "verify", "--identity", "pqkm",
-         "--p", "2", "--q", "2", "--m", "1", "--n", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = python("-m", "rothe_lab.cli", "verify", "--identity", "pqkm",
+                  "--p", "2", "--q", "2", "--m", "1", "--n", "2")
     assert proc.returncode == 0
     assert "pqkm p=2 q=2 m=1 n=2: PASS 4" in proc.stdout
 
@@ -620,41 +622,22 @@ def test_import_graph(case):
     # it uses, and never dataclasses, inspect or typing (-S keeps site from
     # importing typing)
     import ast
-    import os
-    import subprocess
-    import sys
 
     how, unused = IMPORT_GRAPH[case]
     if not isinstance(how, str):
         how = f"import rothe_lab.cli\nassert rothe_lab.cli.main({how!r}) == 0"
     forbidden = {"dataclasses", "inspect", "typing", *(f"rothe_lab.{m}" for m in unused)}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         f"{how}\nimport sys\nprint(sorted(sys.modules))"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
-    )
+    proc = python("-S", "-c", f"{how}\nimport sys\nprint(sorted(sys.modules))")
     assert (proc.returncode, proc.stderr) == (0, "")
     loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
     assert "rothe_lab" in loaded
     assert loaded & forbidden == set()
 
 
-def test_cli_tables_match_the_registry():
-    # the parser declares these without loading qseries; a record added to
-    # either registry must be added here too
-    records = registry()
-    assert cli.VARIABLES == tuple(dict.fromkeys(n for r in records.values() for n in r.order))
-    assert cli.IDENTITY_NAMES == tuple(sorted(records))
-
-
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_prints_values_past_the_int_digit_limit(capsys, fmt):
     # each side has about 6,000 digits, past Python's default limit of 4,300
     # on int-to-str conversion; the check passes, so the run exits 0
-    import sys
-
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     code, out, err = run(
         capsys, "verify", "--identity", "rothe1", "--x", str(10**40),
@@ -679,15 +662,8 @@ def test_verify_prints_values_past_the_int_digit_limit(capsys, fmt):
 
 def test_verify_qchu_tall_x_exits_0_without_traceback():
     # x = 1100 once raised a RecursionError inside gaussian_binomial (exit 1)
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "rothe_lab.cli", "verify", "--identity", "qchu",
-         "--x", "1100", "--y", "1", "--m", "0", "--n", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = python("-m", "rothe_lab.cli", "verify", "--identity", "qchu",
+                  "--x", "1100", "--y", "1", "--m", "0", "--n", "2")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "1 checked, 0 failed"
     assert "Traceback" not in proc.stderr
@@ -708,15 +684,8 @@ def test_verify_huge_sweep_refused_without_full_walk(capsys):
 def test_verify_range_is_walked_lazily():
     # 10^12 + 1 degrees, refused from the tuple count alone: the range is
     # never held in memory
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "rothe_lab.cli", "verify", "--identity", "rothe1",
-         "--x", "0", "--y", "0", "--z", "0", "--n", "0..1000000000000"],
-        capture_output=True,
-        text=True,
-    )
+    proc = python("-m", "rothe_lab.cli", "verify", "--identity", "rothe1",
+                  "--x", "0", "--y", "0", "--z", "0", "--n", "0..1000000000000")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "exceeds the cap" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -780,14 +749,8 @@ def test_verify_empty_levels_count_toward_the_cap(capsys):
 def test_verify_negative_grading_sweep_is_refused(flags, fmt):
     # more tuples than the cap: the sweep is refused from their count alone,
     # before any tuple is looked at
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "rothe_lab.cli", "verify", *flags, "--n", "0..1000000000000",
-         "--format", fmt],
-        capture_output=True, text=True, timeout=20,
-    )
+    proc = python("-m", "rothe_lab.cli", "verify", *flags, "--n", "0..1000000000000",
+                  "--format", fmt, timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "exceeds the cap" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -810,14 +773,10 @@ REGISTRY_SWEEPS = {
 }
 
 
-def registry():
-    return cli._registry()
-
-
 def test_registry_sweeps_cover_every_identity():
-    assert set(REGISTRY_SWEEPS) == set(registry())
+    assert set(REGISTRY_SWEEPS) == set(identities.IDENTITIES)
     for name, (_, _, skipped) in REGISTRY_SWEEPS.items():
-        assert (skipped > 0) == (registry()[name].domain is not None), name
+        assert (skipped > 0) == (identities.IDENTITIES[name].domain is not None), name
 
 
 @pytest.mark.parametrize("identity", sorted(REGISTRY_SWEEPS))
@@ -841,8 +800,8 @@ def test_verify_every_registry_identity(capsys, identity, fmt):
 
 STRAY_FLAGS = sorted(
     (identity, name)
-    for identity, record in registry().items()
-    for name in dict.fromkeys(v for r in registry().values() for v in r.order)
+    for identity, record in identities.IDENTITIES.items()
+    for name in cli.VARIABLES
     if name not in record.order
 )
 
@@ -856,7 +815,7 @@ def test_verify_refuses_a_flag_the_identity_does_not_take(capsys, identity, stra
         capsys, "verify", "--identity", identity, "--format", fmt, *flags, f"--{stray}=1"
     )
     assert (code, out) == (2, "")
-    takes = ", ".join(f"--{name}" for name in registry()[identity].order)
+    takes = ", ".join(f"--{name}" for name in identities.IDENTITIES[identity].order)
     assert err == f"error: identity '{identity}' takes no --{stray}; it takes {takes}\n"
 
 
@@ -988,14 +947,10 @@ def test_broken_bijection_invariant_exits_3(capsys, monkeypatch, case):
 
 def test_broken_bijection_invariant_exits_3_under_optimize():
     # python -O strips assert statements; the raise must survive it
-    import subprocess
-    import sys
-
     for attr, stand_in, argv, message in BROKEN_INVARIANTS.values():
         script = (f"import sys; from rothe_lab import bijections, cli; "
                   f"bijections.{attr} = {stand_in}; sys.exit(cli.main(sys.argv[1:]))")
-        proc = subprocess.run([sys.executable, "-O", "-c", script, "bijection", *argv],
-                              capture_output=True, text=True, timeout=60)
+        proc = python("-O", "-c", script, "bijection", *argv)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"internal error: {message}\n"
 
@@ -1022,7 +977,11 @@ def test_verify_help_lists_exactly_the_registry(capsys):
     assert code == 0
     text = " ".join(out.split())
     listed = text.split("one of: ", 1)[1].split(" --", 1)[0]
-    assert listed.split(", ") == sorted(registry())
+    assert listed.split(", ") == sorted(identities.IDENTITIES)
+    # the variable flags, derived from the registry, in a fixed order
+    options = re.findall(r"^  (?:-h, )?(--[\w-]+)", out, re.MULTILINE)
+    variables = ["--x", "--y", "--z", "--n", "--eps", "--p", "--q", "--m", "--j", "--k"]
+    assert options == ["--help", "--identity", *variables, "--fail-fast", "--cap", "--format"]
 
 
 def readme_cli_examples():
@@ -1047,4 +1006,4 @@ def test_readme_lists_exactly_the_registry():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     paragraph = " ".join(readme.split("Identity names for `verify`:", 1)[1].split())
     names = re.findall(r"`([^`]+)`", paragraph.split(". ", 1)[0])
-    assert names == list(registry())
+    assert names == list(identities.IDENTITIES)

@@ -17,10 +17,9 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from rothe_lab import cli
+from rothe_lab import cli, identities
 
-REGISTRY = cli._registry()
-VARIABLES = tuple(dict.fromkeys(name for r in REGISTRY.values() for name in r.order))
+REGISTRY = identities.IDENTITIES
 # only these checks are priced by degree alone; a huge value elsewhere (the
 # q-brackets) is not priced by size
 HUGE_OK = ("rothe1", "rothe2", "gould")
@@ -53,7 +52,8 @@ def verify_argv(draw):
     identity = draw(st.sampled_from(sorted(REGISTRY)))
     record = REGISTRY[identity]
     rational = record.grid_variables or ()
-    ints = {name: draw(small if name in ("p", "q", "x", "y") else near_zero) for name in VARIABLES}
+    ints = {name: draw(small if name in ("p", "q", "x", "y") else near_zero)
+            for name in cli.VARIABLES}
     if draw(st.booleans()):
         # the first variable at the edge m*n - 1, m*n or m*n + 1 of the shift domain
         ints[record.order[0]] = ints["m"] * ints["n"] + draw(st.integers(-1, 1))
@@ -74,7 +74,7 @@ def verify_argv(draw):
         elif name in rational and draw(st.integers(0, 2)) == 0:
             text = f"{ints[name]}/{draw(st.integers(2, 4))}"
         argv.append(f"--{name}={text}")
-    others = [name for name in VARIABLES if name not in record.order]
+    others = [name for name in cli.VARIABLES if name not in record.order]
     stray = draw(st.sampled_from(others)) if mistake == "stray" and others else None
     if stray:
         argv.append(f"--{stray}={ints[stray]}")

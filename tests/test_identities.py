@@ -25,7 +25,7 @@ from rothe_lab import (
     grid_prove,
     rothe_coeff,
 )
-from rothe_lab import identities, qseries
+from rothe_lab import identities
 from rothe_lab.identities import shift_domain
 
 rationals_st = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -688,10 +688,6 @@ def test_shift_checkers_name_a_non_number_argument(checker, args):
                 checker(*args[:i], bad, *args[i + 1:])
 
 
-def merged_registry():
-    return {**identities.IDENTITIES, **qseries.IDENTITIES}
-
-
 def small_points(record):
     """Integer tuples around each record's domain edges; n and m run over
     -1..2, so that the checkers' own argument checks fire too."""
@@ -708,12 +704,12 @@ def refusal(call, *args):
     return None
 
 
-@pytest.mark.parametrize("name", sorted(merged_registry()))
+@pytest.mark.parametrize("name", sorted(identities.IDENTITIES))
 def test_registry_domain_is_the_checker_precondition(name):
     # a sweep evaluates the domain of every tuple before it skips or prices
     # it, so the domain raises each argument refusal of the checker, with
     # the same type and message, in the precondition or out of it
-    record = merged_registry()[name]
+    record = identities.IDENTITIES[name]
     for point in small_points(record):
         kwargs = dict(zip(record.order, point))
         refused = refusal(lambda: record.check(**kwargs))
@@ -750,7 +746,7 @@ WORD_CLASS_POINTS = {
 
 @pytest.mark.parametrize("name", sorted(WORD_CLASS_POINTS))
 def test_registry_cost_refuses_as_enumeration(name):
-    record = merged_registry()[name]
+    record = identities.IDENTITIES[name]
     pools, word_class = WORD_CLASS_POINTS[name]
     refusals = set()
     for point in itertools.product(*pools):
@@ -767,12 +763,12 @@ def test_registry_cost_refuses_as_enumeration(name):
 def test_registry_defaults_only_the_last_variable():
     # the sweep estimate counts the given pools as tuples or levels, a lower
     # bound on its work only while no defaulted variable precedes a given one
-    for record in merged_registry().values():
+    for record in identities.IDENTITIES.values():
         assert set(record.defaults) <= set(record.order[-1:])
 
 
 def test_registry_grid_variables():
-    registry = merged_registry()
+    registry = identities.IDENTITIES
     assert registry["rothe1"].grid_variables == ("x", "y", "z")
     assert registry["gould"].grid_variables == ("x", "y", "z", "eps")
     certifiable = [k for k, r in registry.items() if r.grid_variables]

@@ -1,4 +1,7 @@
+import copy
+import functools
 import math
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -122,6 +125,37 @@ def test_lp_is_immutable():
         p._terms = {}
     p.terms()[1] = 99  # mutating the copy must not touch the polynomial
     assert p.coefficient(1) == 1
+
+
+@pytest.mark.parametrize("poly", [LaurentPolynomial({1: 2, 3: -1}), LaurentPolynomial.zero()],
+                         ids=["poly", "zero"])
+def test_lp_copies_and_pickles(poly):
+    for clone in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert type(clone) is LaurentPolynomial
+        assert (clone.min_exponent(), clone.sorted_terms()) == (poly.min_exponent(),
+                                                               poly.sorted_terms())
+    report = check_qchu(4, 2, 1, 2)
+    clone = pickle.loads(pickle.dumps(report))
+    assert clone == report and clone.passed and str(clone.lhs) == str(report.lhs)
+
+
+def test_construction_survives_a_wrapped_init(monkeypatch):
+    # a tracer counts constructions by wrapping __init__ in a pass-through of
+    # its arguments; a constructor moved to __new__ would hand them on to
+    # object.__init__, which raises TypeError
+    init = LaurentPolynomial.__init__
+    calls = []
+
+    @functools.wraps(init)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return init(*args, **kwargs)
+
+    monkeypatch.setattr(LaurentPolynomial, "__init__", counted)
+    assert LaurentPolynomial({1: 2}).terms() == {1: 2}
+    assert check_invw(6, 2, 1).passed
+    assert qweighted_bijection_check(2, 1, 1, 2).passed
+    assert calls
 
 
 def test_lp_rejects_foreign_types():
