@@ -38,11 +38,8 @@ class BranchB(namedtuple("BranchB", "j k u_prime v")):
 Decomposition = BranchA | BranchB
 
 
-def _split_at_weight(w: Word, r: int, m: int) -> tuple[Word, Word]:
-    cut = _prefix_length(w, r, m)
-    if cut is None:
-        raise NotInDomainError(f"word {w!r} has no prefix of weight {r} (m={m})")
-    return w[:cut], w[cut:]
+def _no_prefix(w: Word, r: int, m: int) -> NotInDomainError:
+    return NotInDomainError(f"word {w!r} has no prefix of weight {r} (m={m})")
 
 
 def _check_shift_params(w: Word, p: int, q: int, g: Grading) -> None:
@@ -88,9 +85,21 @@ def theorem1_forward(w: Word, p: int, q: int, g: Grading) -> Word:
     ``v`` with ``weight(x) = weight(y) - 1`` and ``weight(y)`` minimal; return
     ``u' . rev(y) . rev(x) . v'`` where ``u = u'x`` and ``v = yv'``. Total
     weight and b-count are preserved.
+
+    The shift fixes ``w`` exactly when the letter after ``u`` weighs 1: that
+    letter is ``y``, and ``x`` is empty. At ``m = 0`` every letter weighs 1,
+    so the map is the identity on its whole domain.
     """
     _check_shift_params(w, p, q, g)
-    return _shift(*_split_at_weight(w, p, g.m), g.m)
+    m = g.m
+    cut, acc = _prefix_at_least(w, p, m)
+    if acc != p:
+        raise _no_prefix(w, p, m)
+    # the domain leaves v a weight of q >= 1; an empty v is left to the walk,
+    # which refuses it
+    if cut < len(w) and (m == 0 or w[cut] == "a"):
+        return w
+    return _shift(w[:cut], w[cut:], m)
 
 
 def theorem1_inverse(w: Word, p: int, q: int, g: Grading) -> Word:
@@ -103,10 +112,20 @@ def theorem1_inverse(w: Word, p: int, q: int, g: Grading) -> Word:
     conjugated by reversal: ``rev(w) = rev(V) . rev(U)`` splits at weight
     ``q - 1 + m n``, where the forward shift finds ``x = rev(t)`` and
     ``y = rev(s)``.
+
+    The shift fixes ``w`` exactly when the last letter of ``U`` weighs 1:
+    that letter is ``s``, and ``t`` is empty. At ``m = 0`` the map is the
+    identity on its whole domain.
     """
     _check_shift_params(w, p, q, g)
-    big_u, big_v = _split_at_weight(w, p + 1, g.m)
-    return _shift(big_v[::-1], big_u[::-1], g.m)[::-1]
+    m = g.m
+    cut, acc = _prefix_at_least(w, p + 1, m)
+    if acc != p + 1:
+        raise _no_prefix(w, p + 1, m)
+    # likewise U weighs p + 1 >= 1, and an empty U is left to the walk
+    if cut and (m == 0 or w[cut - 1] == "a"):
+        return w
+    return _shift(w[cut:][::-1], w[:cut][::-1], m)[::-1]
 
 
 def factorize_at_least(w: Word, p: int, g: Grading) -> tuple[Word, Word]:

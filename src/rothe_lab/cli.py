@@ -272,12 +272,13 @@ def cmd_bijection(args) -> int:
         source, target = (args.p + 1, args.p) if args.inverse else (args.p, args.p + 1)
     # one pass over the class: the round trip is a left inverse, so it also
     # fails on a repeated image, and the inverse refuses, with a ValueError,
-    # an image outside the target class
+    # an image outside the target class; the loop spells each word itself, so
+    # its prefixes are scanned without validating it again
     count = targets = 0
     reason = None
     for w in words._words(args.p + args.q + g.m * args.n, args.n, g):
-        targets += words.has_prefix_of_weight(w, target, g)
-        if not words.has_prefix_of_weight(w, source, g):
+        targets += words._prefix_length(w, target, g.m) is not None
+        if words._prefix_length(w, source, g.m) is None:
             continue
         count += 1
         image = apply(w, args.p, args.q, g)

@@ -58,10 +58,17 @@ def weight(w: Word, g: Grading) -> int:
 
 def _prefix_at_least(w: Word, r: int, m: int) -> tuple[int, int]:
     """Length and weight of the shortest prefix of an already checked word
-    with weight at least ``r``; the whole word when no prefix reaches ``r``."""
+    with weight at least ``r``; the whole word when no prefix reaches ``r``.
+    The work is bounded by ``len(w)``, whatever the size of ``m``."""
+    if m == 0:
+        cut = min(max(r, 0), len(w))
+        return cut, cut
     acc = cut = 0
-    while acc < r and cut < len(w):
-        acc += m + 1 if w[cut] == "b" else 1
+    heavy = m + 1
+    for letter in w:
+        if acc >= r:
+            break
+        acc += heavy if letter == "b" else 1
         cut += 1
     return cut, acc
 

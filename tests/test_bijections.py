@@ -1,4 +1,5 @@
 import itertools
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -31,6 +32,33 @@ def all_words(max_len):
             yield "".join(letters)
 
 
+def prefix_sums(w, m):
+    """Weights of the nonempty prefixes of ``w``, summed here and not by the
+    library, so that the references below share no scan with the maps."""
+    return list(itertools.accumulate(m + 1 if letter == "b" else 1 for letter in w))
+
+
+def cut_of_weight(w, r, m):
+    """Length of the prefix of ``w`` with weight ``r``, or ``None``."""
+    if r == 0:
+        return 0
+    sums = prefix_sums(w, m)
+    return sums.index(r) + 1 if r in sums else None
+
+
+def shift_cases(max_len, offset):
+    """``(w, p, q, g, cut)`` for every word up to ``max_len`` letters, ``m <=
+    3`` and every ``p`` of the shift domain at which ``w`` has a prefix of
+    weight ``p + offset``; ``cut`` is that prefix's length."""
+    for m in range(4):
+        g = Grading(m)
+        for w in all_words(max_len):
+            for p in range(m * w.count("b"), len(w)):
+                cut = cut_of_weight(w, p + offset, m)
+                if cut is not None:
+                    yield w, p, len(w) - p, g, cut
+
+
 class PrefixMatch(NamedTuple):
     """Nonempty prefixes of two words sharing the same (minimal) weight."""
 
@@ -57,7 +85,7 @@ def equal_weight_prefixes(u, v, g):
     two-pointer merge over their prefix-weight lists. A match is guaranteed
     whenever both words weigh at least ``m * n + 1`` with ``n = b_count(u +
     v)``; :class:`NoMatchError` is raised when there is none."""
-    match = _match(prefix_weights(u, g), prefix_weights(v, g))
+    match = _match(prefix_sums(u, g.m), prefix_sums(v, g.m))
     if match is None:
         raise NoMatchError(
             f"words {u!r} and {v!r} have no nonempty prefixes of equal weight (m={g.m})"
@@ -65,10 +93,16 @@ def equal_weight_prefixes(u, v, g):
     return match
 
 
+def reference_forward(w, p, g):
+    """The forward shift on the split ``w = u . v`` at weight ``p``."""
+    cut = cut_of_weight(w, p, g.m)
+    return reference_shift(w[:cut], w[cut:], g.m)
+
+
 def reference_inverse(w, p, g):
     """The inverse shift built directly: split ``w = U . V`` at weight
     ``p + 1`` and match suffixes of ``U`` against prefixes of ``V``."""
-    cut = prefix_length_of_weight(w, p + 1, g)
+    cut = cut_of_weight(w, p + 1, g.m)
     big_u, big_v = w[:cut], w[cut:]
     # prefixes of 'a' + V encode prefixes of V shifted up by 1
     match = equal_weight_prefixes(big_u[::-1], "a" + big_v, g)
@@ -83,8 +117,7 @@ def reference_shift(u, v, m):
     """The shift as a two-pointer merge of the prefix-weight lists of ``v``
     and of ``'a' + rev(u)``: a weight-``t`` prefix of the latter encodes a
     suffix of ``u`` of weight ``t - 1``, the empty one included."""
-    g = Grading(m)
-    match = _match(prefix_weights(v, g), prefix_weights("a" + u[::-1], g))
+    match = _match(prefix_sums(v, m), prefix_sums("a" + u[::-1], m))
     if match is None:
         raise NoMatchError(
             f"no prefix y of {v!r} and suffix x of {u!r} with weight(y) = weight(x) + 1 (m={m})"
@@ -215,21 +248,74 @@ def test_theorem1_roundtrip_invariant_ranges():
                         assert theorem1_forward(theorem1_inverse(w, p, q, g), p, q, g) == w
 
 
+def test_theorem1_forward_matches_reference():
+    # every word of every in-domain class with m <= 3 and length <= 12
+    checked = 0
+    for w, p, q, g, _ in shift_cases(12, 0):
+        assert theorem1_forward(w, p, q, g) == reference_forward(w, p, g)
+        checked += 1
+    assert checked > 100_000
+
+
 def test_theorem1_inverse_matches_reference():
     # every word of every in-domain class with m <= 3 and length <= 12
     checked = 0
-    for m in range(4):
-        g = Grading(m)
-        for length in range(13):
-            for n in range(length + 1):
-                everything = enumerate_gamma(length + m * n, n, g)
-                for p in range(m * n, length):
-                    q = length - p
-                    for w in everything:
-                        if has_prefix_of_weight(w, p + 1, g):
-                            assert theorem1_inverse(w, p, q, g) == reference_inverse(w, p, g)
-                            checked += 1
-    assert checked > 0
+    for w, p, q, g, _ in shift_cases(12, 1):
+        assert theorem1_inverse(w, p, q, g) == reference_inverse(w, p, g)
+        checked += 1
+    assert checked > 100_000
+
+
+@pytest.mark.parametrize("apply, offset, letter", [
+    (theorem1_forward, 0, lambda w, cut: w[cut]),
+    (theorem1_inverse, 1, lambda w, cut: w[cut - 1]),
+], ids=["forward", "inverse"])
+def test_theorem1_fixed_points(apply, offset, letter):
+    # a map fixes w exactly when the letter next to its cut weighs 1: forward,
+    # the letter after the weight-p prefix; inverse, the last letter of the
+    # weight-(p + 1) prefix
+    fixed = moved = 0
+    for w, p, q, g, cut in shift_cases(10, offset):
+        light = g.m == 0 or letter(w, cut) == "a"
+        assert (apply(w, p, q, g) == w) == light, (w, p, q, g)
+        fixed += light
+        moved += not light
+    assert (fixed, fixed + moved) == (23_373, 26_776)
+
+
+def trace_budget(call, budget):
+    """``call()``, stopped with an AssertionError once it has run ``budget``
+    traced events (lines, calls and returns)."""
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += 1
+        if events > budget:
+            raise AssertionError(f"more than {budget} traced events")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(count)
+    try:
+        return call()
+    finally:
+        sys.settrace(previous)
+
+
+@pytest.mark.parametrize("apply, args, want", [
+    (factorize_at_least, ("ab", 2), ("ab", "")),
+    (factorize_at_least, ("ba", 10**18), ("b", "a")),
+    (decompose, ("aaa", 1, 2), BranchA("aaa")),
+    (has_prefix_of_weight, ("ab", 2), False),
+    (has_prefix_of_weight, ("ba", 10**18 + 2), True),
+    (theorem1_forward, ("aaa", 1, 2), "aaa"),
+    (theorem1_inverse, ("aaa", 1, 2), "aaa"),
+])
+def test_work_does_not_grow_with_m(apply, args, want):
+    # a b weighs 10**18 + 1 here; a scan that stepped or spelled out its
+    # weight letter by letter would never return
+    assert trace_budget(lambda: apply(*args, Grading(10**18)), 500) == want
 
 
 def test_shift_walk_matches_reference():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rothe_lab import NoMatchError, VerificationReport, bijections, cli, identities
+from rothe_lab import NoMatchError, VerificationReport, bijections, cli, identities, words
 
 
 def run(capsys, *argv):
@@ -130,6 +130,22 @@ def test_bijection_all_inverse(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["abb → bba", "bab → bab", "BIJECTION OK (2 words)"]
+
+
+@pytest.mark.parametrize("argv", [
+    "theorem1 --p 2 --q 1 --m 1 --n 2", "theorem1 --p 2 --q 1 --m 1 --n 2 --inverse",
+    "factorize --p 3 --q 2 --m 1 --n 2",
+])
+def test_bijection_all_validates_no_word_it_spells(capsys, monkeypatch, argv):
+    # the loop spells every word of the class itself; only the maps check theirs
+    def refuse(w):
+        raise AssertionError(f"validated {w!r}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(words, "b_count", refuse)
+        patched = run(capsys, "bijection", *argv.split(), "--all")
+    assert patched == run(capsys, "bijection", *argv.split(), "--all")
+    assert patched[0] == 0
 
 
 def test_bijection_factorize_all_json(capsys):
