@@ -72,13 +72,13 @@ def _parse_values(text: str, name: str, fractional: bool) -> Sequence:
 
 def _levels(record: Identity, values: dict[str, Sequence]) -> Iterator[tuple[tuple, Sequence]]:
     """Every level of a sweep, lazily and in sweep order: the values of all but
-    the last variable, and the pool of the last. An unset variable ranges over
-    its default, computed from the values before it; that pool may be empty."""
+    the last variable, and the pool of the last. An unset last variable ranges
+    over its default, computed from the values before it; that pool may be empty."""
     order = record.order
 
     def rest(point: tuple, i: int) -> Iterator[tuple[tuple, Sequence]]:
         name = order[i]
-        pool = values[name] if name in values else record.defaults[name](*point)
+        pool = values[name] if name in values else record.default(*point)
         if i + 1 == len(order):
             return iter(((point, pool),))
         return chain.from_iterable(rest((*point, value), i + 1) for value in pool)
@@ -132,16 +132,15 @@ def cmd_verify(args) -> int:
     for name in record.order:
         raw = getattr(args, name)
         if raw is None:
-            if name in record.defaults:
+            if name == record.order[-1] and record.default is not None:
                 continue
             raise UsageError(f"--{name} is required for identity '{args.identity}'")
         values[name] = _parse_values(raw, name, fractional=name in (record.grid_variables or ()))
     cap = _resolve_cap(args)
-    domain = record.domain
 
     # estimate the work up front, stopping at the first tuple that breaches
-    # the cap; refuse the whole sweep on a breach, or when a cost estimate
-    # raises its check's own refusal. A tuple or a level, empty or not, costs
+    # the cap; refuse the whole sweep on a breach, or when a price raises
+    # its check's own refusal. A tuple or a level, empty or not, costs
     # at least one unit. Only a last variable may be defaulted, so the given
     # pools (step-1 ranges or one value) count tuples or levels, a lower bound
     # on the work that alone can breach the cap unwalked
@@ -151,8 +150,8 @@ def cmd_verify(args) -> int:
         if not pool:
             total_work += 1
         for point in map(prefix.__add__, zip(pool)):
-            inside = domain is None or domain(*point)
-            total_work += max(record.cost(*point), 1) if inside else 1
+            price = record.price(*point)
+            total_work += 1 if price is None else max(price, 1)
             if total_work > cap:
                 break
         if total_work > cap:
@@ -166,7 +165,7 @@ def cmd_verify(args) -> int:
     checked = failed = skipped = 0
     points = (map(prefix.__add__, zip(pool)) for prefix, pool in _levels(record, values))
     for point in chain.from_iterable(points):
-        if domain is not None and not domain(*point):
+        if record.price(*point) is None:
             skipped += 1
             continue
         report = record.check(**dict(zip(record.order, point)))
@@ -191,18 +190,20 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     g = Grading(args.m)
     listing = words._words(args.p, args.k, g)
+    # the listing spells each word of the class itself, so its prefixes are
+    # scanned without validating it again; each has weight p and k letters b
     if args.prefix_weight is not None:
-        listing = (w for w in listing if words.has_prefix_of_weight(w, args.prefix_weight, g))
+        r = args.prefix_weight
+        listing = (w for w in listing if words._prefix_length(w, r, g.m) is not None)
     length = args.p - args.k * args.m
     predicted = words._comb0(length, args.k)
     count = 0
     for count, w in enumerate(listing, 1):
         if args.format == "json":
-            entry = words.word_json(w, g)
-            entry["inversions"] = words.inversions(w)
-            print(json.dumps(entry))
+            print(json.dumps({"word": w, "weight": args.p, "b_count": args.k,
+                              "inversions": words.inversions(w)}))
         else:
-            print(f"{_fmt_word(w)}  weight={words.weight(w, g)} inv={words.inversions(w)}")
+            print(f"{_fmt_word(w)}  weight={args.p} inv={words.inversions(w)}")
     if args.format == "json":
         print(json.dumps({"count": count, "predicted": predicted}))
     else:

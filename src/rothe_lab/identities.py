@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, islice, product, repeat
@@ -89,7 +89,7 @@ class VerificationReport(
         return out
 
 
-class Identity(namedtuple("Identity", "check order cost sides defaults domain")):
+class Identity(namedtuple("Identity", "check order price sides default", defaults=(None, None))):
     """Everything stated about one identity, in one place.
 
     ``check`` takes every variable by keyword and returns a report. ``order``
@@ -100,32 +100,18 @@ class Identity(namedtuple("Identity", "check order cost sides defaults domain"))
     variable is ``v / d`` at each ``v`` of its axis), then ``n``, then ``d``,
     and returns two lazy iterators, of ``n! d**n`` times the left and the
     right side as integers, at the points of ``itertools.product`` of the
-    axes in that order. A single point is the one-point grid. The other
-    callables take the variables positionally in sweep order: ``defaults``
-    maps a variable that may be left unset to its range, computed from the
-    variables before it; ``domain`` is the precondition, outside which
-    ``check`` raises :class:`NotInDomainError` and a sweep skips the tuple
-    (``None`` when there is none); a domain also raises the check's argument
-    refusals, such as a negative degree, inside it or not; ``cost`` estimates
-    the elementary evaluations of one check inside the domain, or raises its
-    other refusals, such as the length cap or, for a record without a domain,
-    a negative degree. A sweep calls both before any check.
+    axes in that order. A single point is the one-point grid. The other two
+    callables take the variables positionally in sweep order. ``price``
+    returns the work units, at least one, of one check; ``None`` outside the
+    check's precondition, where ``check`` raises :class:`NotInDomainError`
+    and a sweep skips the tuple; and it raises every other refusal of
+    ``check``, with the same type and message. A sweep prices every tuple
+    before any check, then once more to skip or check it. ``default``,
+    computed from the variables before it, is the range of the last variable
+    when that is left unset.
     """
 
     __slots__ = ()
-
-    def __new__(
-        cls,
-        check: Callable[..., VerificationReport],
-        order: tuple[str, ...],
-        cost: Callable[..., int],
-        sides: Callable[..., tuple[Iterator[int], Iterator[int]]] | None = None,
-        defaults: Mapping[str, Callable[..., range]] | None = None,
-        domain: Callable[..., bool] | None = None,
-    ) -> Identity:
-        # a fresh empty mapping per record, never one shared default
-        defaults = {} if defaults is None else defaults
-        return super().__new__(cls, check, order, cost, sides, defaults, domain)
 
     @property
     def grid_variables(self) -> tuple[str, ...] | None:
@@ -476,68 +462,67 @@ IDENTITIES: dict[str, Identity] = {
         check=check_rothe1,
         order=("x", "y", "z", "n"),
         sides=_rothe1_sides,
-        cost=lambda x, y, z, n: _degree_cost(n, 1),
+        price=lambda x, y, z, n: _degree_cost(n, 1),
     ),
     "rothe2": Identity(
         check=check_rothe2,
         order=("x", "y", "z", "n"),
         sides=_rothe2_sides,
-        cost=lambda x, y, z, n: _degree_cost(n, 1),
+        price=lambda x, y, z, n: _degree_cost(n, 1),
     ),
     "gould": Identity(
         check=check_gould,
         order=("x", "y", "z", "n", "eps"),
         sides=_gould_sides,
-        # one eps at n < 0, so that the tuple is priced and its cost refuses the degree
-        defaults={"eps": lambda x, y, z, n: range(0, max(n, 0) + 1)},
-        cost=lambda x, y, z, n, eps: _degree_cost(n, 2),
+        # one eps at n < 0, so that the tuple is priced and its price refuses the degree
+        default=lambda x, y, z, n: range(0, max(n, 0) + 1),
+        price=lambda x, y, z, n, eps: _degree_cost(n, 2),
     ),
     "pqkm": Identity(
         check=check_pqkm,
         order=("p", "q", "m", "n"),
-        cost=lambda p, q, m, n: 2 * _side_cost(n),
+        price=lambda p, q, m, n: 2 * _side_cost(n),
     ),
     "kmx": Identity(
         check=check_kmx,
         order=("p", "q", "m", "n"),
-        domain=shift_domain,
-        cost=lambda p, q, m, n: (m + 1) * _side_cost(n),
+        price=lambda p, q, m, n: (m + 1) * _side_cost(n) if shift_domain(p, q, m, n) else None,
     ),
     "kmpink": Identity(
         check=check_kmpink,
         order=("p", "q", "m", "n", "j"),
-        defaults={"j": lambda p, q, m, n: range(1, m + 1)},
-        domain=_kmpink_domain,
-        cost=lambda p, q, m, n, j: 2 * _side_cost(n),
+        default=lambda p, q, m, n: range(1, m + 1),
+        price=lambda p, q, m, n, j: (
+            2 * _side_cost(n) if _kmpink_domain(p, q, m, n, j) else None
+        ),
     ),
     "cardinality": Identity(
         check=_qseries("check_cardinality"),
         order=("p", "k", "m"),
-        cost=_class_cost,
+        price=_class_cost,
     ),
     "invw": Identity(
         check=_qseries("check_invw"),
         order=("p", "k", "m"),
-        domain=_invw_domain,
-        cost=_class_cost,
+        price=lambda p, k, m: _class_cost(p, k, m) if _invw_domain(p, k, m) else None,
     ),
     "qchu": Identity(
         check=_qseries("check_qchu"),
         order=("x", "y", "m", "n"),
-        domain=shift_domain,
-        cost=lambda x, y, m, n: (n + 1) ** 2 * (m + 1) + 1,
+        price=lambda x, y, m, n: (n + 1) ** 2 * (m + 1) + 1 if shift_domain(x, y, m, n) else None,
     ),
     "qchu-m1": Identity(
         check=_qseries("check_qchu_m1"),
         order=("x", "y", "n"),
-        domain=lambda x, y, n: shift_domain(x, y, 1, n),
-        cost=lambda x, y, n: 2 * (n + 1) ** 2 + 1,
+        price=lambda x, y, n: 2 * (n + 1) ** 2 + 1 if shift_domain(x, y, 1, n) else None,
     ),
     "qword": Identity(
         check=_qseries("qweighted_bijection_check"),
         order=("p", "q", "m", "n"),
-        domain=shift_domain,
-        cost=lambda p, q, m, n: _class_cost(p + q + m * n, n, m) + (n + 1) ** 2 * (m + 1),
+        price=lambda p, q, m, n: (
+            _class_cost(p + q + m * n, n, m) + (n + 1) ** 2 * (m + 1)
+            if shift_domain(p, q, m, n) else None
+        ),
     ),
 }
 """Every identity by name; the checkers of the last five, the q-identities and

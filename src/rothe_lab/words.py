@@ -166,7 +166,7 @@ def enumerate_gamma(p: int, k: int, g: Grading) -> list[Word]:
 
 def enumerate_gamma_prefix(p: int, k: int, r: int, g: Grading) -> list[Word]:
     """The part of ``enumerate_gamma(p, k, g)`` having a prefix of weight ``r``."""
-    return [w for w in _words(p, k, g) if has_prefix_of_weight(w, r, g)]
+    return [w for w in _words(p, k, g) if _prefix_length(w, r, g.m) is not None]
 
 
 def inversions(w: Word) -> int:

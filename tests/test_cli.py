@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -755,6 +756,34 @@ def test_verify_empty_levels_count_toward_the_cap(capsys):
     assert code == 0 and out.endswith("5 checked, 0 failed\n")
 
 
+def test_verify_prices_each_tuple_once_per_pass(capsys, monkeypatch):
+    # 12 tuples, 9 outside kmx's precondition: the estimate prices each once,
+    # and the check loop once more, to skip it or to check it
+    record = identities.IDENTITIES["kmx"]
+    priced, checked = Counter(), []
+
+    def price(*point):
+        priced[point] += 1
+        return record.price(*point)
+
+    def check(**kwargs):
+        checked.append(kwargs)
+        return record.check(**kwargs)
+
+    monkeypatch.setitem(identities.IDENTITIES, "kmx", record._replace(price=price, check=check))
+    argv = ["verify", "--identity", "kmx", "--p", "0..2", "--q", "0..1", "--m", "1",
+            "--n", "1..2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("3 checked, 0 failed, 9 skipped\n")
+    assert len(priced) == 12 and set(priced.values()) == {2} and len(checked) == 3
+    # a cap refusal prices up to the breach, the 11th tuple, and checks nothing
+    priced.clear()
+    code, out, err = run(capsys, *argv, "--cap", "20")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: estimated work of at least 25 exceeds the cap 20;")
+    assert len(priced) == 11 and set(priced.values()) == {1} and len(checked) == 3
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("flags", [
     ["--identity", "kmx", "--p", "0", "--q", "1", "--m=-1"],
@@ -773,7 +802,7 @@ def test_verify_negative_grading_sweep_is_refused(flags, fmt):
 
 
 # one small sweep per registry entry: (flags, checked, skipped); every entry
-# with a domain skips at least one tuple, counted by hand from its domain
+# with a precondition skips at least one tuple, counted by hand from it
 REGISTRY_SWEEPS = {
     "rothe1": (["--x=0..1", "--y=1", "--z=1/2", "--n=0..2"], 6, 0),
     "rothe2": (["--x=-1..1", "--y=2", "--z=1", "--n=2"], 3, 0),
@@ -792,7 +821,11 @@ REGISTRY_SWEEPS = {
 def test_registry_sweeps_cover_every_identity():
     assert set(REGISTRY_SWEEPS) == set(identities.IDENTITIES)
     for name, (_, _, skipped) in REGISTRY_SWEEPS.items():
-        assert (skipped > 0) == (identities.IDENTITIES[name].domain is not None), name
+        # 0 everywhere but m = n = k = 1 is outside every precondition:
+        # p < m*n, q < 1, p < k*m, j < 1
+        record = identities.IDENTITIES[name]
+        probe = [int(variable in ("m", "n", "k")) for variable in record.order]
+        assert (skipped > 0) == (record.price(*probe) is None), name
 
 
 @pytest.mark.parametrize("identity", sorted(REGISTRY_SWEEPS))

@@ -351,7 +351,7 @@ def test_non_integer_degree_or_offset_is_a_parameter_error(call):
 
 def test_rational_checks_are_priced_quadratically():
     # every coefficient of a degree-n side is itself an O(n) product
-    assert identities.IDENTITIES["rothe1"].cost(3, 5, 2, 800) >= 800**2
+    assert identities.IDENTITIES["rothe1"].price(3, 5, 2, 800) >= 800**2
 
 
 def test_grid_prove_parameter_errors():
@@ -706,65 +706,62 @@ def refusal(call, *args):
 
 @pytest.mark.parametrize("name", sorted(identities.IDENTITIES))
 def test_registry_domain_is_the_checker_precondition(name):
-    # a sweep evaluates the domain of every tuple before it skips or prices
-    # it, so the domain raises each argument refusal of the checker, with
-    # the same type and message, in the precondition or out of it
+    # a sweep prices every tuple before it skips or checks it, so the price
+    # raises exactly what the checker raises, with the same type and message,
+    # except where the checker refuses the tuple as outside its domain: there,
+    # and only there, the price is None; everywhere else the check passes
     record = identities.IDENTITIES[name]
     for point in small_points(record):
         kwargs = dict(zip(record.order, point))
         refused = refusal(lambda: record.check(**kwargs))
+        outside = refused is not None and issubclass(refused[0], NotInDomainError)
         try:
-            inside = record.domain is None or record.domain(*point)
-        except ParameterError as exc:
-            assert refused == (type(exc), str(exc)), kwargs
+            price = record.price(*point)
+        except (ValueError, CapExceededError) as exc:
+            assert not outside and refused == (type(exc), str(exc)), kwargs
             continue
-        if not inside:
-            assert refused is not None and issubclass(refused[0], NotInDomainError), kwargs
-        elif refused is None:
-            assert record.check(**kwargs).passed, kwargs
-            assert record.cost(*point) >= 1, kwargs
+        if price is None:
+            assert outside, kwargs
         else:
-            # only a record without a domain refuses a tuple its domain lets
-            # through: it skips nothing, so a negative n or m reaches the
-            # checker, and its cost raises the same refusal before a sweep
-            # prices anything; at n, m >= 0 every such tuple must pass
-            assert record.domain is None, kwargs
-            assert min(kwargs.get("n", 0), kwargs.get("m", 0)) < 0, kwargs
-            assert issubclass(refused[0], ParameterError), kwargs
-            assert refusal(record.cost, *point) == refused, kwargs
+            assert refused is None and record.check(**kwargs).passed, kwargs
+            assert price >= 1, kwargs
 
 
-# each word-class identity's pools of values, and the class its check
-# enumerates; m runs over -1..2 and the word lengths over both sides of 26
+# each word-class identity's pools of values, and the enumeration its check
+# runs, behind the argument refusals and the test of its precondition; m runs
+# over -1..2 and the word lengths over both sides of 26
 WORD_CLASS_POINTS = {
-    "cardinality": ((range(-1, 31), range(-1, 3), range(-1, 3)), lambda p, k, m: (p, k, m)),
-    "invw": ((range(-1, 31), range(-1, 3), range(-1, 3)), lambda p, k, m: (p, k, m)),
+    "cardinality": ((range(-1, 31), range(-1, 3), range(-1, 3)),
+                    lambda p, k, m: enumerate_gamma(p, k, Grading(m))),
+    "invw": ((range(-1, 31), range(-1, 3), range(-1, 3)),
+             lambda p, k, m: enumerate_gamma(p, k, Grading(m))),
     "qword": ((range(-1, 29), range(1, 3), range(-1, 3), range(-1, 3)),
-              lambda p, q, m, n: (p + q + m * n, n, m)),
+              lambda p, q, m, n: shift_domain(p, q, m, n)
+              and enumerate_gamma(p + q + m * n, n, Grading(m))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORD_CLASS_POINTS))
 def test_registry_cost_refuses_as_enumeration(name):
+    # inside the precondition a price refuses what the enumeration refuses;
+    # outside it the price is None: a sweep skips the tuple unpriced
     record = identities.IDENTITIES[name]
-    pools, word_class = WORD_CLASS_POINTS[name]
+    pools, walk = WORD_CLASS_POINTS[name]
     refusals = set()
     for point in itertools.product(*pools):
-        weight, k, m = word_class(*point)
-        expected = refusal(lambda: enumerate_gamma(weight, k, Grading(m)))
-        if expected is None:
-            assert record.cost(*point) >= 1, point
-        else:
-            assert refusal(record.cost, *point) == expected, point
+        expected = refusal(walk, *point)
+        try:
+            price = record.price(*point)
+        except (ValueError, CapExceededError) as exc:
+            assert (type(exc), str(exc)) == expected, point
             refusals.add(expected[0])
+            continue
+        if price is None:
+            refused = refusal(lambda: record.check(**dict(zip(record.order, point))))
+            assert issubclass(refused[0], NotInDomainError), point
+        else:
+            assert expected is None and price >= 1, point
     assert refusals == {ParameterError, CapExceededError}
-
-
-def test_registry_defaults_only_the_last_variable():
-    # the sweep estimate counts the given pools as tuples or levels, a lower
-    # bound on its work only while no defaulted variable precedes a given one
-    for record in identities.IDENTITIES.values():
-        assert set(record.defaults) <= set(record.order[-1:])
 
 
 def test_registry_grid_variables():

@@ -1,5 +1,6 @@
-"""No dead private helpers: every private module-level function or class of
-the library is used somewhere in the library besides its own definition."""
+"""No dead code at module level: every private module-level function or class
+of the library is used somewhere in the library besides its own definition,
+and every module-level import is used in its own module."""
 
 import ast
 from pathlib import Path
@@ -53,6 +54,28 @@ def unused_private_helpers(sources: dict[str, str]) -> list[str]:
     return unused
 
 
+def unused_imports(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each name that a module-level import of ``sources``
+    (module name to source text) binds and that its module never reads;
+    ``from __future__`` imports are directives, not names."""
+    unused = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for statement in tree.body:
+            if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+                continue
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                for alias in statement.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{module}.{name}")
+    return unused
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"words.py", "bijections.py", "cli.py"}
 
@@ -79,3 +102,30 @@ def test_scan_catches_each_form(sources):
 ])
 def test_scan_passes_used_helpers(sources):
     assert unused_private_helpers(sources) == []
+
+
+def test_every_module_level_import_has_a_user():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unused_imports(sources) == []
+
+
+@pytest.mark.parametrize("sources", [
+    {"a": "import os\n"},
+    {"a": "import os.path\n"},
+    {"a": "import numpy as np\n\nnumpy = 1\nx = numpy\n"},
+    {"a": "from collections.abc import Mapping, Sequence\n\nx: Sequence\n"},
+    {"a": "from . import words\n\nx = 'words'\n"},
+    {"a": "import os\n", "b": "from a import os\n\nx = os\n"},
+])
+def test_import_scan_catches_each_form(sources):
+    assert unused_imports(sources)
+
+
+@pytest.mark.parametrize("sources", [
+    {"a": "import os\n\nx = os.sep\n"},
+    {"a": "import os.path\n\nx = os.path\n"},
+    {"a": "from collections.abc import Mapping\n\ndef f(m: Mapping) -> None:\n    pass\n"},
+    {"a": "from __future__ import annotations\n"},
+])
+def test_import_scan_passes_used_imports(sources):
+    assert unused_imports(sources) == []

@@ -28,9 +28,9 @@ RECORDS = {
         "rhs=Fraction(1, 2), status='pass', counterexample=None)",
     ),
     "Identity": (
-        Identity(check=len, order=("n",), cost=abs),
-        "Identity(check=<built-in function len>, order=('n',), cost=<built-in function abs>, "
-        "sides=None, defaults={}, domain=None)",
+        Identity(check=len, order=("n",), price=abs),
+        "Identity(check=<built-in function len>, order=('n',), price=<built-in function abs>, "
+        "sides=None, default=None)",
     ),
 }
 
@@ -61,11 +61,9 @@ def test_records_take_their_fields_by_keyword_and_default():
     assert BranchB(j=1, k=2, u_prime="ab", v="") == RECORDS["BranchB"][0]
     report = VerificationReport("x", {}, 1, 2, "fail")
     assert report.counterexample is None and not report.passed
-    record = Identity(check=len, order=("n",), cost=abs)
-    assert (record.sides, record.defaults, record.domain) == (None, {}, None)
+    record = Identity(check=len, order=("n",), price=abs)
+    assert (record.sides, record.default) == (None, None)
     assert record.grid_variables is None
-    # every record gets its own empty defaults, never one shared mapping
-    assert record.defaults is not Identity(check=len, order=("n",), cost=abs).defaults
 
 
 def test_grading_refuses_a_negative_m_with_its_message():
