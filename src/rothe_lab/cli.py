@@ -107,7 +107,7 @@ def _format_report_text(report: VerificationReport) -> str:
     params = " ".join(f"{k}={v}" for k, v in report.params.items())
     head = f"{report.identity} {params}" if params else report.identity
     if report.passed:
-        return f"{head}: PASS {report.lhs}"
+        return f"{head}: PASS {report.rhs}"
     return f"{head}: FAIL lhs={report.lhs} rhs={report.rhs}"
 
 

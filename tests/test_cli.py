@@ -361,6 +361,58 @@ def test_verify_qchu_polynomial_output(capsys):
     assert out.splitlines()[0] == "qchu x=2 y=1 m=1 n=1: PASS 1+q+q^2"
 
 
+def passing_params(out, fmt):
+    """The parameters of each passing report line of a ``verify`` run."""
+    if fmt == "json":
+        return [r["params"] for r in json_lines(out)[:-1] if r["status"] == "pass"]
+    heads = [line.split(": PASS ")[0] for line in out.splitlines() if ": PASS " in line]
+    return [{k: int(v) for k, v in (kv.split("=") for kv in head.split()[1:])}
+            for head in heads]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, closed_form", [
+    ("--identity qchu --x=3..8 --y=1..4 --m=0..2 --n=0..4", lambda x, y, m, n: (x + y, n)),
+    ("--identity invw --p=0..12 --k=0..4 --m=0..2", lambda p, k, m: (p - k * m, k)),
+    ("--identity qword --p=0..5 --q=1..4 --m=0..1 --n=0..3", lambda p, q, m, n: (p + q, n)),
+], ids=["qchu", "invw", "qword"])
+def test_verify_formats_each_closed_form_once(capsys, monkeypatch, argv, closed_form, fmt):
+    # a pass line prints the right side, which is the cached gaussian_binomial
+    # object of the closed form, and a polynomial keeps its text
+    from rothe_lab.qseries import LaurentPolynomial
+
+    formatted = []
+    format_once = LaurentPolynomial._format
+
+    def counted(poly):
+        formatted.append(poly)
+        return format_once(poly)
+
+    monkeypatch.setattr(LaurentPolynomial, "_format", counted)
+    code, out, _ = run(capsys, "verify", *shlex.split(argv), "--format", fmt)
+    assert code == 0
+    passes = passing_params(out, fmt)
+    closed_forms = {closed_form(**params) for params in passes}
+    assert len(passes) > 2 * len(closed_forms)
+    assert len({id(poly) for poly in formatted}) == len(formatted) <= len(closed_forms)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_failing_q_report_prints_both_sides(capsys, monkeypatch, fmt):
+    from rothe_lab import qseries
+
+    double_sum = qseries._qchu_sum
+    monkeypatch.setattr(qseries, "_qchu_sum", lambda *args: double_sum(*args).shift(-1))
+    code, out, _ = run(capsys, "verify", "--identity", "qchu", "--x", "2", "--y", "1",
+                       "--m", "1", "--n", "1", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        assert out.splitlines()[0] == "qchu x=2 y=1 m=1 n=1: FAIL lhs=q^-1+1+q rhs=1+q+q^2"
+    else:
+        record = json_lines(out)[0]
+        assert (record["status"], record["lhs"], record["rhs"]) == ("fail", "q^-1+1+q", "1+q+q^2")
+
+
 def test_verify_cardinality_sweep(capsys):
     code, out, _ = run(
         capsys, "verify", "--identity", "cardinality",
@@ -605,6 +657,15 @@ def test_cli_deterministic_output(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_bench_selftest_catches_every_wrong_answer():
+    # the benchmark's checkers must fail each deliberately wrong answer;
+    # a change that blinds one of them fails here
+    proc = python(str(Path(__file__).parents[1] / "bench" / "selftest.py"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    caught = re.search(r"^selftest: (\d+) of (\d+) wrong answers caught$", proc.stdout, re.M)
+    assert caught and caught[1] == caught[2] != "0", proc.stdout
 
 
 def test_console_entry_point():

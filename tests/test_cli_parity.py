@@ -64,6 +64,10 @@ CASES = {
     "qchu": "verify --identity qchu --x 0..2 --y 0..1 --m 1 --n 1",
     "qchu-m1": "verify --identity qchu-m1 --x=0..2 --y=1 --n=1..2",
     "qword": "verify --identity qword --p=0..2 --q=1 --m=1 --n=1",
+    # verify: q-sweeps in which a closed form recurs
+    "qchu-recurring": "verify --identity qchu --x=3..8 --y=1..4 --m=0..2 --n=0..4",
+    "invw-recurring": "verify --identity invw --p=0..12 --k=0..4 --m=0..2",
+    "qword-recurring": "verify --identity qword --p=0..5 --q=1..4 --m=0..1 --n=0..3",
     # verify: refusals
     "unknown-identity": "verify --identity nope --x 1",
     "missing-variable": "verify --identity kmx --p 1 --q 1 --m 1",

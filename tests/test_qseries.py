@@ -105,7 +105,29 @@ def test_lp_str_matches_the_concatenation_oracle():
              for i in range(span)}
         ))
     for poly in polys:
-        assert str(poly) == str_by_concatenation(poly), repr(poly)
+        expected = str_by_concatenation(poly)
+        before = hash(poly)
+        assert str(poly) == expected, repr(poly)
+        # the text is kept: a second call returns it, and neither equality,
+        # hashing nor a copy sees it
+        assert str(poly) is str(poly)
+        assert poly == LaurentPolynomial(poly.terms()) and hash(poly) == before
+        for clone in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+            assert getattr(clone, "_text", None) is None
+            assert clone == poly and hash(clone) == before and str(clone) == expected
+        with pytest.raises(AttributeError):
+            poly._text = "0"
+        assert str(poly) == expected
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, -10**30 - 7, 7**200],
+                         ids=["zero", "one", "minus-one", "large-negative", "huge"])
+def test_lp_constant_hashes_as_its_int(value):
+    for poly in (LaurentPolynomial({0: value}), LaurentPolynomial([(0, value)])):
+        assert poly == value and hash(poly) == hash(value)
+        assert len({poly, value}) == 1 and {value: "int"}[poly] == "int"
+    assert LaurentPolynomial() == 0 and len({LaurentPolynomial(), 0}) == 1
+    assert LaurentPolynomial({1: 1}) != 1 and LaurentPolynomial({-1: 1}) != 1
 
 
 def test_lp_json_serialization():
