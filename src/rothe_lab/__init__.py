@@ -27,8 +27,7 @@ _EXPORTS = {
     ),
     "words": (
         "MAX_WORD_LENGTH", "Grading", "Word", "b_count", "enumerate_gamma",
-        "enumerate_gamma_prefix", "has_prefix_of_weight", "inversions", "prefix_weights",
-        "reverse", "weight", "word_json",
+        "enumerate_gamma_prefix", "has_prefix_of_weight", "inversions", "prefix_weights", "weight",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain
 
 from . import identities, words
-from .errors import CapExceededError, RotheLabError
+from .errors import CapExceededError, ParameterError, RotheLabError
 from .identities import Identity, VerificationReport
 from .words import Grading
 
@@ -29,10 +29,6 @@ CAP_ENV_VAR = "ROTHE_LAB_CAP"
 
 # the verify flags, in registry order
 VARIABLES = tuple(dict.fromkeys(name for r in identities.IDENTITIES.values() for name in r.order))
-
-
-class UsageError(Exception):
-    """Bad flags or sweep configuration; maps to exit code 2."""
 
 
 def _fmt_word(w: str) -> str:
@@ -51,21 +47,21 @@ def _parse_values(text: str, name: str, fractional: bool) -> Sequence:
         try:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
-            raise UsageError(f"--{name}: bad range {text!r}; expected LO..HI") from None
+            raise ParameterError(f"--{name}: bad range {text!r}; expected LO..HI") from None
         if lo > hi:
-            raise UsageError(f"--{name}: empty range {text!r}")
+            raise ParameterError(f"--{name}: empty range {text!r}")
         return range(lo, hi + 1)
     if "/" in text:
         if not fractional:
-            raise UsageError(f"--{name} must be an integer or integer range, got {text!r}")
+            raise ParameterError(f"--{name} must be an integer or integer range, got {text!r}")
         try:
             return [Fraction(text)]
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--{name}: bad rational {text!r}") from None
+            raise ParameterError(f"--{name}: bad rational {text!r}") from None
     try:
         return [int(text)]
     except ValueError:
-        raise UsageError(
+        raise ParameterError(
             f"--{name}: bad value {text!r}; expected an integer, LO..HI or NUM/DEN"
         ) from None
 
@@ -89,16 +85,16 @@ def _levels(record: Identity, values: dict[str, Sequence]) -> Iterator[tuple[tup
 def _resolve_cap(args) -> int:
     if args.cap is not None:
         if args.cap < 1:
-            raise UsageError(f"--cap must be positive, got {args.cap}")
+            raise ParameterError(f"--cap must be positive, got {args.cap}")
         return args.cap
     env = os.environ.get(CAP_ENV_VAR)
     if env:
         try:
             cap = int(env)
         except ValueError:
-            raise UsageError(f"${CAP_ENV_VAR} must be an integer, got {env!r}") from None
+            raise ParameterError(f"${CAP_ENV_VAR} must be an integer, got {env!r}") from None
         if cap < 1:
-            raise UsageError(f"${CAP_ENV_VAR} must be positive, got {cap}")
+            raise ParameterError(f"${CAP_ENV_VAR} must be positive, got {cap}")
         return cap
     return DEFAULT_WORK_CAP
 
@@ -121,20 +117,20 @@ def _emit_report(report: VerificationReport, fmt: str) -> None:
 def cmd_verify(args) -> int:
     record = identities.IDENTITIES.get(args.identity)
     if record is None:
-        raise UsageError(f"unknown identity {args.identity!r}; "
-                         f"choose from {', '.join(sorted(identities.IDENTITIES))}")
+        raise ParameterError(f"unknown identity {args.identity!r}; "
+                             f"choose from {', '.join(sorted(identities.IDENTITIES))}")
     stray = [name for name in VARIABLES
              if name not in record.order and getattr(args, name) is not None]
     if stray:
         takes = ", ".join(f"--{name}" for name in record.order)
-        raise UsageError(f"identity '{args.identity}' takes no --{stray[0]}; it takes {takes}")
+        raise ParameterError(f"identity '{args.identity}' takes no --{stray[0]}; it takes {takes}")
     values: dict[str, Sequence] = {}
     for name in record.order:
         raw = getattr(args, name)
         if raw is None:
             if name == record.order[-1] and record.default is not None:
                 continue
-            raise UsageError(f"--{name} is required for identity '{args.identity}'")
+            raise ParameterError(f"--{name} is required for identity '{args.identity}'")
         values[name] = _parse_values(raw, name, fractional=name in (record.grid_variables or ()))
     cap = _resolve_cap(args)
 
@@ -157,7 +153,7 @@ def cmd_verify(args) -> int:
         if total_work > cap:
             break
     if total_work > cap:
-        raise UsageError(
+        raise CapExceededError(
             f"estimated work of at least {total_work} exceeds the cap {cap}; "
             f"narrow the ranges or raise --cap / ${CAP_ENV_VAR}"
         )
@@ -243,14 +239,14 @@ def cmd_bijection(args) -> int:
     from . import bijections
 
     if args.kind == "factorize" and args.inverse:
-        raise UsageError("--inverse applies only to kind 'theorem1'")
+        raise ParameterError("--inverse applies only to kind 'theorem1'")
     if (args.word is None) == (not args.all):
-        raise UsageError("give exactly one of --word or --all")
+        raise ParameterError("give exactly one of --word or --all")
     g = Grading(args.m)
     if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
+        raise ParameterError(f"--n must be >= 0, got {args.n}")
     if args.word is not None and words.b_count(args.word) != args.n:
-        raise UsageError(
+        raise ParameterError(
             f"word {args.word!r} has {words.b_count(args.word)} letters 'b', "
             f"expected n={args.n}"
         )
@@ -313,7 +309,7 @@ def cmd_grid_prove(args) -> int:
         try:
             offsets = tuple(int(part) for part in args.offsets.split(","))
         except ValueError:
-            raise UsageError(
+            raise ParameterError(
                 f"--offsets must be comma-separated integers, got {args.offsets!r}"
             ) from None
     report = identities.grid_prove(args.identity, args.n, offsets)
@@ -410,7 +406,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (UsageError, CapExceededError, ValueError) as exc:
+    except (CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RotheLabError as exc:

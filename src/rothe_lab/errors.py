@@ -6,7 +6,7 @@ class RotheLabError(Exception):
 
 
 class CapExceededError(RotheLabError):
-    """An enumeration request exceeds the configured size cap."""
+    """An enumeration exceeds the word-length cap, or a sweep its work cap."""
 
 
 class NoMatchError(RotheLabError):
@@ -17,8 +17,8 @@ class NoMatchError(RotheLabError):
 
 
 class ParameterError(RotheLabError, ValueError):
-    """An argument that a checker, a bijection or a grading refuses, such as a
-    negative degree or grading, a non-number or a tuple outside a precondition."""
+    """An argument refused by a checker, a bijection, a grading or the command line,
+    such as a negative degree, a non-number, a bad flag or a tuple outside a precondition."""
 
 
 class NotInDomainError(ParameterError):

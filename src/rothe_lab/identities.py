@@ -448,6 +448,16 @@ def _degree_cost(n: int, sides: int) -> int:
     return sides * _side_cost(n)
 
 
+def _qchu_cost(x: int, y: int, m: int, n: int) -> int | None:
+    """Work units of a q-Chu check: ``(m + 1) (n + 1)`` bracket products of ``O(n)`` terms
+    each, plus the ``n (x + y - n)`` coefficients of the closed form ``[x + y, n]``. Every
+    summand's coefficients are nonnegative, so no bracket or product of the double sum spans
+    more exponents than the closed form. ``None`` outside :func:`shift_domain`."""
+    if not shift_domain(x, y, m, n):
+        return None
+    return (n + 1) ** 2 * (m + 1) + 1 + n * max(x + y - n, 0)
+
+
 def _qseries(name: str) -> Callable[..., VerificationReport]:
     """The checker ``name`` of :mod:`rothe_lab.qseries`, which is imported on
     the first call: a run that checks no q-identity never loads it."""
@@ -512,19 +522,19 @@ IDENTITIES: dict[str, Identity] = {
     "qchu": Identity(
         check=_qseries("check_qchu"),
         order=("x", "y", "m", "n"),
-        price=lambda x, y, m, n: (n + 1) ** 2 * (m + 1) + 1 if shift_domain(x, y, m, n) else None,
+        price=_qchu_cost,
     ),
     "qchu-m1": Identity(
         check=_qseries("check_qchu_m1"),
         order=("x", "y", "n"),
-        price=lambda x, y, n: 2 * (n + 1) ** 2 + 1 if shift_domain(x, y, 1, n) else None,
+        price=lambda x, y, n: _qchu_cost(x, y, 1, n),
     ),
     "qword": Identity(
         check=_qseries("qweighted_bijection_check"),
         order=("p", "q", "m", "n"),
         price=lambda p, q, m, n: (
-            _class_cost(p + q + m * n, n, m) + (n + 1) ** 2 * (m + 1)
-            if shift_domain(p, q, m, n) else None
+            None if (cost := _qchu_cost(p, q, m, n)) is None
+            else _class_cost(p + q + m * n, n, m) + cost
         ),
     ),
 }

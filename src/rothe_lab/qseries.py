@@ -82,14 +82,6 @@ class LaurentPolynomial:
         return LaurentPolynomial._dense, (self._offset, self._coeffs)
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def q_power(cls, exponent: int, coeff: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coeff})
-
-    @classmethod
     def _coerce(cls, value) -> "LaurentPolynomial | None":
         if isinstance(value, LaurentPolynomial):
             return value
@@ -112,9 +104,6 @@ class LaurentPolynomial:
 
     def max_exponent(self) -> int | None:
         return self._offset + len(self._coeffs) - 1 if self._coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def value_at_one(self) -> int:
         """The integer obtained by setting ``q = 1``."""
@@ -215,6 +204,10 @@ class LaurentPolynomial:
         return {"terms": [[e, str(c)] for e, c in self.sorted_terms()]}
 
 
+# the zero and the one that every zero and one bracket returns
+_ZERO = LaurentPolynomial()
+_ONE = LaurentPolynomial({0: 1})
+
 # slot sizes, in bytes, that ``array`` reads and writes natively, smallest
 # first; a wider slot is converted coefficient by coefficient
 _NATIVE_SLOTS = {array(code).itemsize: code for code in "BHIQ"}
@@ -272,7 +265,7 @@ def _sum_of_products(summands) -> LaurentPolynomial:
             signed = signed or low_a < 0 or low_b < 0
             bound += max(max(a), -low_a) * max(max(b), -low_b) * min(len(a), len(b))
     if not triples:
-        return LaurentPolynomial.zero()
+        return _ZERO
     width = bound.bit_length() + signed
     size = next((s for s in _NATIVE_SLOTS if 8 * s >= width), (width + 7) // 8)
     lowest = min(low for low, _, _ in triples)
@@ -294,22 +287,26 @@ def _sum_of_products(summands) -> LaurentPolynomial:
 def gaussian_binomial(a: int, k: int) -> LaurentPolynomial:
     """Gaussian binomial coefficient as a polynomial in ``q``.
 
-    Zero for ``k < 0`` or ``k > a``, one for ``k == 0``, otherwise the
-    product formula ``[a, k] = prod_{i=1}^{k} (1 - q^(a-k+i)) / (1 - q^i)``
-    (Andrews, *The Theory of Partitions*, ch. 3) evaluated on one dense list
-    of coefficients, without recursion. At ``q = 1`` it evaluates to
-    ``C(a, k)``. Negative upper arguments are not supported.
+    Zero for ``k < 0`` or ``k > a`` and one for ``k == 0`` are shared
+    constants, and ``[a, k]`` for ``k > a - k`` is the cached ``[a, a - k]``.
+    Otherwise the product formula ``[a, k] = prod_{i=1}^{k} (1 - q^(a-k+i)) /
+    (1 - q^i)`` (Andrews, *The Theory of Partitions*, ch. 3) runs on one dense
+    list of coefficients. At ``q = 1`` it is ``C(a, k)``. Negative upper
+    arguments are not supported.
     """
     if k < 0:
-        return LaurentPolynomial.zero()
+        return _ZERO
     if a < 0:
         raise UnsupportedArgumentError(
             f"gaussian_binomial needs a >= 0 (or k < 0), got a={a}, k={k}"
         )
     if k > a:
-        return LaurentPolynomial.zero()
-    k = min(k, a - k)
+        return _ZERO
     rest = a - k
+    if k > rest:
+        return gaussian_binomial(a, rest)
+    if not k:
+        return _ONE
     # after step i the list holds [rest + i, i], of degree i * rest; the step
     # first raises the degree by rest + i, then the division lowers it by i
     coeffs = [1] + [0] * (k * rest + k)
@@ -371,7 +368,7 @@ def _qchu_summands(x: int, y: int, m: int, n: int, k: int):
     yield shift, gaussian_binomial(x - k * m, k), gaussian_binomial(y + k * m, n - k)
     for j in range(1, m + 1):
         left = gaussian_binomial(x - k * m + j - 1, k - 1)
-        if left.is_zero():
+        if not left:
             # at k = 0 the j-terms vanish; skipping also avoids evaluating
             # the partner bracket at a negative upper argument
             continue

@@ -32,13 +32,6 @@ class Grading(namedtuple("Grading", "m")):
             raise ParameterError(f"grading parameter m must be >= 0, got {m}")
         return super().__new__(cls, m)
 
-    def letter_weight(self, letter: str) -> int:
-        if letter == "a":
-            return 1
-        if letter == "b":
-            return self.m + 1
-        raise ValueError(f"letter {letter!r} is not 'a' or 'b'")
-
 
 def b_count(w: Word) -> int:
     """Number of letters ``b`` in ``w``, once every letter is checked; a ``w``
@@ -180,14 +173,3 @@ def inversions(w: Word) -> int:
         else:
             inv += seen_b
     return inv
-
-
-def reverse(w: Word) -> Word:
-    """The word read right to left."""
-    b_count(w)
-    return w[::-1]
-
-
-def word_json(w: Word, g: Grading) -> dict:
-    """JSON-ready description of ``w`` under the grading ``g``."""
-    return {"word": w, "weight": weight(w, g), "b_count": b_count(w)}

@@ -234,7 +234,7 @@ def test_criterion_7_qchu_extension():
                     if m == 0:
                         # the inner sum vanishes: literally the classical
                         # q-Chu-Vandermonde summation
-                        classical = LaurentPolynomial.zero()
+                        classical = LaurentPolynomial()
                         for k in range(n + 1):
                             classical = classical + (
                                 gaussian_binomial(x, k) * gaussian_binomial(y, n - k)

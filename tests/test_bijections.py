@@ -144,7 +144,7 @@ def reference_factorize(w, p, g):
         return "", w
     acc = 0
     for i, letter in enumerate(w):
-        acc += g.letter_weight(letter)
+        acc += weight(letter, g)
         if acc >= p:
             return w[: i + 1], w[i + 1 :]
     return None

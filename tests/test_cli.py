@@ -747,6 +747,35 @@ def test_verify_qchu_tall_x_exits_0_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+HUGE = str(10**30)
+# argv and estimated work of q-Chu runs refused by the size of the closed form
+# [x + y, n]; priced at ten units, the first once ended in an OverflowError
+# traceback with exit 1, and the sweep took a minute to pass
+CLOSED_FORM_REFUSALS = {
+    "qchu-huge-x": ("verify --identity qchu --x {} --y 1 --m 0 --n 2", 2 * 10**30 + 8),
+    "qchu-huge-y": ("verify --identity qchu --x 1 --y {} --m 0 --n 2", 2 * 10**30 + 8),
+    "qchu-m1-huge-x": ("verify --identity qchu-m1 --x {} --y 1 --n 2", 2 * 10**30 + 17),
+    "qchu-tall-sweep": ("verify --identity qchu --x 0..1200 --y 1..30 --m 0 --n 3", 10_001_220),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_REFUSALS))
+def test_verify_prices_the_qchu_closed_form_by_its_size(capsys, name, fmt):
+    line, work = CLOSED_FORM_REFUSALS[name]
+    code, out, err = run(capsys, *shlex.split(line.format(HUGE)), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: estimated work of at least {work} exceeds the cap 10000000;")
+
+
+def test_verify_huge_qchu_argument_exits_2_without_traceback():
+    line, work = CLOSED_FORM_REFUSALS["qchu-huge-x"]
+    proc = python("-m", "rothe_lab.cli", *shlex.split(line.format(HUGE)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: estimated work of at least {work} exceeds the cap")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_huge_sweep_refused_without_full_walk(capsys):
     # 10^8 tuples: the estimate stops once its running total passes the cap,
     # so the refusal does not walk every tuple first
@@ -1110,6 +1139,24 @@ def test_readme_cli_example_exits_0(capsys, line):
     code, out, err = run(capsys, *shlex.split(line)[1:])
     assert (code, err) == (0, "")
     assert out
+
+
+def test_readme_library_example_gives_its_commented_values():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace, shown = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+            continue
+        value = eval(expression, namespace)
+        text = repr(value) if isinstance(value, (list, str)) else str(value)
+        assert comment.strip().endswith(text), line
+        shown.append(text)
+    assert shown == ["['abb', 'bab', 'bba']", "'abb'", "1+q+q^2"]
 
 
 def test_readme_lists_exactly_the_registry():

@@ -49,6 +49,8 @@ CASES = {
     "bijection-negative-m": "bijection factorize --p 1 --q 1 --m=-1 --n 1 --all",
     "bijection-b-count": "bijection theorem1 --p 1 --q 1 --m 1 --n 2 --word ab",
     "factorize-inverse": "bijection factorize --p 1 --q 1 --m 1 --n 1 --all --inverse",
+    "bijection-word-and-all": "bijection theorem1 --p 1 --q 1 --m 1 --n 1 --word ab --all",
+    "bijection-neither-word-nor-all": "bijection factorize --p 1 --q 1 --m 1 --n 1",
     # verify: every identity over ranges, with skips where it has a domain
     "rothe1": "verify --identity rothe1 --x=0..1 --y=1 --z=1/2 --n=0..2",
     "rothe2": "verify --identity rothe2 --x 1/2 --y 3 --z 2 --n 4",

@@ -27,7 +27,7 @@ PUBLIC = {
                 "qweighted_bijection_check"),
     "words": ("MAX_WORD_LENGTH", "Grading", "Word", "b_count", "enumerate_gamma",
               "enumerate_gamma_prefix", "has_prefix_of_weight", "inversions", "prefix_weights",
-              "reverse", "weight", "word_json"),
+              "weight"),
 }
 
 

@@ -1,8 +1,11 @@
+import contextlib
 import copy
 import functools
+import io
 import math
 import pickle
 import random
+import shlex
 import tracemalloc
 from collections import Counter
 
@@ -26,7 +29,7 @@ from rothe_lab import (
     inversions,
     qweighted_bijection_check,
 )
-from rothe_lab import qseries, words
+from rothe_lab import cli, qseries, words
 from rothe_lab.qseries import qchu_m1_term, qchu_term
 
 ONE_PLUS_Q = LaurentPolynomial({0: 1, 1: 1})
@@ -42,17 +45,17 @@ def test_lp_op_examples():
 
 def test_lp_arithmetic_and_canonical_form():
     p = LaurentPolynomial({2: 5, -1: 3})
-    assert p - p == LaurentPolynomial.zero()
-    assert (p - p).is_zero()
+    assert p - p == LaurentPolynomial()
+    assert not p - p
     assert p + 0 == p and 0 + p == p
     assert 2 * p == p + p
-    assert LaurentPolynomial({0: 0, 3: 0}) == LaurentPolynomial.zero()
+    assert LaurentPolynomial({0: 0, 3: 0}) == LaurentPolynomial()
     assert LaurentPolynomial([(1, 2), (1, -2), (0, 1)]) == 1
     assert hash(p) == hash(LaurentPolynomial({-1: 3, 2: 5}))
 
 
 def test_lp_str_forms():
-    assert str(LaurentPolynomial.zero()) == "0"
+    assert str(LaurentPolynomial()) == "0"
     assert str(LaurentPolynomial({0: -3})) == "-3"
     assert str(ONE_PLUS_Q) == "1+q"
     assert str(LaurentPolynomial({-1: 1, 0: 1})) == "q^-1+1"
@@ -85,7 +88,7 @@ def str_by_concatenation(poly):
 def test_lp_str_matches_the_concatenation_oracle():
     rng = random.Random(15)
     polys = [
-        LaurentPolynomial.zero(),
+        LaurentPolynomial(),
         LaurentPolynomial({0: 1}),
         LaurentPolynomial({0: -1}),
         LaurentPolynomial({1: 1}),
@@ -138,7 +141,7 @@ def test_lp_json_serialization():
 def test_lp_min_max_exponent():
     p = LaurentPolynomial({-3: 1, 4: 7})
     assert p.min_exponent() == -3 and p.max_exponent() == 4
-    assert LaurentPolynomial.zero().min_exponent() is None
+    assert LaurentPolynomial().min_exponent() is None
 
 
 def test_lp_is_immutable():
@@ -149,7 +152,7 @@ def test_lp_is_immutable():
     assert p.coefficient(1) == 1
 
 
-@pytest.mark.parametrize("poly", [LaurentPolynomial({1: 2, 3: -1}), LaurentPolynomial.zero()],
+@pytest.mark.parametrize("poly", [LaurentPolynomial({1: 2, 3: -1}), LaurentPolynomial()],
                          ids=["poly", "zero"])
 def test_lp_copies_and_pickles(poly):
     for clone in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
@@ -197,8 +200,8 @@ def test_lp_rejects_foreign_types():
 def test_gaussian_binomial_examples():
     assert gaussian_binomial(2, 1) == ONE_PLUS_Q
     assert gaussian_binomial(4, 2) == LaurentPolynomial({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
-    assert gaussian_binomial(3, 5).is_zero()
-    assert gaussian_binomial(5, -1).is_zero()
+    assert not gaussian_binomial(3, 5)
+    assert not gaussian_binomial(5, -1)
     assert gaussian_binomial(0, 0) == 1
     with pytest.raises(UnsupportedArgumentError):
         gaussian_binomial(-1, 2)
@@ -234,11 +237,11 @@ def test_gaussian_binomial_matches_pascal_oracle():
 
 def test_gaussian_binomial_edges():
     for a in range(6):
-        assert gaussian_binomial(a, -1).is_zero()
-        assert gaussian_binomial(a, -3).is_zero()
-        assert gaussian_binomial(a, a + 1).is_zero()
-        assert gaussian_binomial(a, a + 4).is_zero()
-    assert gaussian_binomial(-2, -1).is_zero()
+        assert not gaussian_binomial(a, -1)
+        assert not gaussian_binomial(a, -3)
+        assert not gaussian_binomial(a, a + 1)
+        assert not gaussian_binomial(a, a + 4)
+    assert not gaussian_binomial(-2, -1)
     for k in range(3):
         with pytest.raises(UnsupportedArgumentError):
             gaussian_binomial(-1, k)
@@ -275,6 +278,27 @@ def test_gaussian_binomial_symmetry_and_palindrome():
             assert coeffs == coeffs[::-1]
             if k:
                 assert p.max_exponent() == k * (a - k)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --identity qchu --x=3..17 --y=1..7 --m=0..2 --n=0..5",
+    "verify --identity invw --p=0..12 --k=0..4 --m=0..2",
+])
+def test_gaussian_binomial_returns_one_object_per_value(monkeypatch, argv):
+    # [a, k] for k > a - k is the cached [a, a - k], and every zero and every
+    # one bracket is a shared constant: no value is built or held twice
+    returned = []
+    cached = qseries.gaussian_binomial
+
+    def spy(a, k):
+        returned.append(cached(a, k))
+        return returned[-1]
+
+    cached.cache_clear()
+    monkeypatch.setattr(qseries, "gaussian_binomial", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(shlex.split(argv)) == 0
+    assert len({id(value) for value in returned}) == len(set(returned))
 
 
 def test_inv_generating_function_examples():
@@ -391,7 +415,7 @@ def test_qchu_m1_matches_general_term_by_term():
     for x in range(1, 6):
         for y in range(1, 5):
             for n in range(0, min(x, 4) + 1):
-                total = LaurentPolynomial.zero()
+                total = LaurentPolynomial()
                 for k in range(n + 1):
                     expected = reference_qchu_m1_term(x, y, n, k)
                     assert qchu_m1_term(x, y, n, k) == expected, (x, y, n, k)
@@ -410,7 +434,7 @@ def test_qchu_lhs_is_plain_polynomial():
             for x in range(m * n, m * n + 3):
                 for y in range(1, 4):
                     lhs = check_qchu(x, y, m, n).lhs
-                    assert lhs.is_zero() or lhs.min_exponent() >= 0
+                    assert not lhs or lhs.min_exponent() >= 0
 
 
 def test_qweighted_bijection_check_examples():
@@ -464,7 +488,7 @@ def test_qchu_sum_is_sum_of_terms():
         for n in range(5):
             for x in (m * n, m * n + 3, m * n + 11):
                 for y in (1, 4):
-                    total = LaurentPolynomial.zero()
+                    total = LaurentPolynomial()
                     for k in range(n + 1):
                         total = total + qchu_term(x, y, m, n, k)
                     assert qseries._qchu_sum(x, y, m, n) == total, (x, y, m, n)
@@ -479,17 +503,17 @@ def test_concatenation_exponent_rule():
             for k in range(n + 1):
                 for p in range(k * (m + 1), k * (m + 1) + 3):
                     for q in range((n - k) * (m + 1), (n - k) * (m + 1) + 3):
-                        paired = LaurentPolynomial.zero()
-                        concatenated = LaurentPolynomial.zero()
+                        paired = LaurentPolynomial()
+                        concatenated = LaurentPolynomial()
                         for u in enumerate_gamma(p, k, g):
                             a_u = inversions(u)
                             for v in enumerate_gamma(q, n - k, g):
                                 a_count_v = len(v) - v.count("b")
                                 exponent = a_u + inversions(v) + k * a_count_v
                                 assert exponent == inversions(u + v)
-                                paired = paired + LaurentPolynomial.q_power(exponent)
-                                concatenated = concatenated + LaurentPolynomial.q_power(
-                                    inversions(u + v)
+                                paired = paired + LaurentPolynomial({exponent: 1})
+                                concatenated = concatenated + LaurentPolynomial(
+                                    {inversions(u + v): 1}
                                 )
                         assert paired == concatenated
 
@@ -526,7 +550,7 @@ def ref_mul(a: dict, b: dict) -> dict:
 def assert_matches(poly: LaurentPolynomial, ref: dict) -> None:
     assert poly.terms() == ref
     assert poly.sorted_terms() == sorted(ref.items())
-    assert poly.is_zero() == (not ref)
+    assert bool(poly) == bool(ref)
     assert poly.min_exponent() == (min(ref) if ref else None)
     assert poly.max_exponent() == (max(ref) if ref else None)
     assert poly.value_at_one() == sum(ref.values())
@@ -559,7 +583,7 @@ def test_lp_cancellation_trims_to_canonical_form(a, cancel, b):
     assert_matches(pa + minus, survivors)
     assert_matches(pa - pa, {})
     assert_matches(pa + (-pa), {})
-    assert pa - pa == LaurentPolynomial.zero() == 0
+    assert pa - pa == LaurentPolynomial() == 0
     pb = LaurentPolynomial(b)
     assert_matches((pa + pb) - pb, ref_clean(a))
     assert_matches(pa * 0, {})
@@ -572,7 +596,7 @@ def test_lp_cancellation_trims_to_canonical_form(a, cancel, b):
 def dense_form(p: LaurentPolynomial) -> tuple[int, list[int]]:
     """Lowest exponent and the coefficient run from there up, read through
     the public interface."""
-    if p.is_zero():
+    if not p:
         return 0, []
     low = p.min_exponent()
     return low, [p.coefficient(e) for e in range(low, p.max_exponent() + 1)]
@@ -584,7 +608,7 @@ def reference_mul(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomi
     the shorter factor."""
     (offset_a, short), (offset_b, long) = dense_form(a), dense_form(b)
     if not short or not long:
-        return LaurentPolynomial.zero()
+        return LaurentPolynomial()
     if len(short) > len(long):
         short, long = long, short
     width = len(long)
@@ -631,7 +655,7 @@ def test_lp_products_match_dict_reference(a, b):
                 max_size=5))
 def test_sum_of_products_matches_schoolbook(triples):
     polys = [(s, LaurentPolynomial(a), LaurentPolynomial(b)) for s, a, b in triples]
-    expected = LaurentPolynomial.zero()
+    expected = LaurentPolynomial()
     for s, a, b in polys:
         expected = expected + reference_mul(a, b).shift(s)
     assert qseries._sum_of_products(iter(polys)) == expected
@@ -641,9 +665,9 @@ def test_sum_of_products_cancels_to_canonical_zero():
     p = LaurentPolynomial({-3: 2, 0: -5, 4: 10**30})
     r = LaurentPolynomial({1: -1, 2: 7})
     assert qseries._sum_of_products([]) == 0
-    assert qseries._sum_of_products([(5, p, LaurentPolynomial.zero())]) == 0
+    assert qseries._sum_of_products([(5, p, LaurentPolynomial())]) == 0
     total = qseries._sum_of_products([(2, p, r), (1, -p, r.shift(1))])
-    assert total.is_zero() and total.min_exponent() is None
+    assert not total and total.min_exponent() is None
 
 
 @pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 72, 73, 129])
@@ -661,7 +685,7 @@ def test_sum_of_products_at_the_width_bound(bits, length, copies, signs):
     left = LaurentPolynomial({e: signs[0] * big_m for e in range(length)})
     right = LaurentPolynomial({e: signs[1] * big_n for e in range(-2, length - 2)})
     total = qseries._sum_of_products([(3, left, right)] * copies)
-    expected = LaurentPolynomial.zero()
+    expected = LaurentPolynomial()
     for _ in range(copies):
         expected = expected + reference_mul(left, right).shift(3)
     assert total == expected
@@ -671,7 +695,7 @@ def test_sum_of_products_at_the_width_bound(bits, length, copies, signs):
 def reference_qchu_lhs(x: int, y: int, m: int, n: int) -> LaurentPolynomial:
     """The double sum of :func:`check_qchu`, term by term with the schoolbook
     product."""
-    total = LaurentPolynomial.zero()
+    total = LaurentPolynomial()
     for k in range(n + 1):
         shift = k * (k * m + k + y - n)
         product = reference_mul(gaussian_binomial(x - k * m, k),

@@ -12,9 +12,7 @@ from rothe_lab import (
     has_prefix_of_weight,
     inversions,
     prefix_weights,
-    reverse,
     weight,
-    word_json,
     words,
 )
 
@@ -29,13 +27,13 @@ def comb0(n: int, k: int) -> int:
 
 
 def test_grading_validation():
-    assert Grading(0).letter_weight("b") == 1
-    assert Grading(2).letter_weight("b") == 3
-    assert Grading(2).letter_weight("a") == 1
+    assert weight("b", Grading(0)) == 1
+    assert weight("b", Grading(2)) == 3
+    assert weight("a", Grading(2)) == 1
     with pytest.raises(ValueError):
         Grading(-1)
     with pytest.raises(ValueError):
-        Grading(1).letter_weight("c")
+        weight("c", Grading(1))
 
 
 def test_bad_letters_rejected():
@@ -171,20 +169,3 @@ def test_inversions_concatenation_rule(u, v):
     a_count_v = len(v) - v.count("b")
     assert inversions(u + v) == inversions(u) + inversions(v) + u.count("b") * a_count_v
 
-
-def test_reverse_examples():
-    assert reverse("ab") == "ba"
-    assert reverse("") == ""
-    assert reverse("bba") == "abb"
-
-
-@given(words_st, gradings_st)
-def test_reverse_is_weight_preserving_involution(w, g):
-    assert reverse(reverse(w)) == w
-    assert weight(reverse(w), g) == weight(w, g)
-    assert b_count(reverse(w)) == b_count(w)
-
-
-def test_word_json():
-    assert word_json("abb", Grading(1)) == {"word": "abb", "weight": 5, "b_count": 2}
-    assert word_json("", Grading(3)) == {"word": "", "weight": 0, "b_count": 0}
