@@ -2,22 +2,26 @@
 
 Exit codes are a stable contract: 0 when every check passes, 1 when a
 mathematical check fails (a counterexample is printed), 2 on usage or
-configuration errors, work-cap breaches included, and 3 when the library
-reports an internal error (a broken invariant, such as ``NoMatchError``).
+configuration errors, work-cap breaches included, or, without a message,
+when stdout is closed before the run ends, and 3 when the library reports an
+internal error (a broken invariant, such as ``NoMatchError``).
 Output is deterministic; ``--format json`` emits one JSON object per line
-with identical verdicts to the text mode.
+with identical verdicts to the text mode. Each command yields its lines and
+returns its exit status; :func:`main` alone writes them to stdout, in blocks.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Generator, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
+from time import perf_counter_ns
 
 from . import identities, words
 from .errors import CapExceededError, ParameterError, RotheLabError
@@ -26,6 +30,13 @@ from .words import Grading
 
 DEFAULT_WORK_CAP = 10_000_000
 CAP_ENV_VAR = "ROTHE_LAB_CAP"
+
+# a block of output lines is written no later than a line arriving this long
+# after its first, so a slow sweep still shows its lines as it goes
+_BLOCK_DELAY_NS = 100_000_000
+
+# a command: its stdout lines, without line ends, and its exit status
+_Lines = Generator[str, None, int]
 
 # the verify flags, in registry order
 VARIABLES = tuple(dict.fromkeys(name for r in identities.IDENTITIES.values() for name in r.order))
@@ -107,14 +118,7 @@ def _format_report_text(report: VerificationReport) -> str:
     return f"{head}: FAIL lhs={report.lhs} rhs={report.rhs}"
 
 
-def _emit_report(report: VerificationReport, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        print(_format_report_text(report))
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> _Lines:
     record = identities.IDENTITIES.get(args.identity)
     if record is None:
         raise ParameterError(f"unknown identity {args.identity!r}; "
@@ -168,14 +172,17 @@ def cmd_verify(args) -> int:
         checked += 1
         if not report.passed:
             failed += 1
-        _emit_report(report, args.format)
+        if args.format == "json":
+            yield json.dumps(report.to_json_dict())
+        else:
+            yield _format_report_text(report)
         if failed and args.fail_fast:
             break
     if args.format == "json":
-        print(json.dumps({"checked": checked, "failed": failed, "skipped": skipped}))
+        yield json.dumps({"checked": checked, "failed": failed, "skipped": skipped})
     else:
         tail = f", {skipped} skipped" if skipped else ""
-        print(f"{checked} checked, {failed} failed{tail}")
+        yield f"{checked} checked, {failed} failed{tail}"
     return 0 if failed == 0 else 1
 
 
@@ -183,7 +190,7 @@ def cmd_verify(args) -> int:
 # enumerate
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> _Lines:
     g = Grading(args.m)
     listing = words._words(args.p, args.k, g)
     # the listing spells each word of the class itself, so its prefixes are
@@ -196,14 +203,14 @@ def cmd_enumerate(args) -> int:
     count = 0
     for count, w in enumerate(listing, 1):
         if args.format == "json":
-            print(json.dumps({"word": w, "weight": args.p, "b_count": args.k,
-                              "inversions": words.inversions(w)}))
+            yield json.dumps({"word": w, "weight": args.p, "b_count": args.k,
+                              "inversions": words.inversions(w)})
         else:
-            print(f"{_fmt_word(w)}  weight={args.p} inv={words.inversions(w)}")
+            yield f"{_fmt_word(w)}  weight={args.p} inv={words.inversions(w)}"
     if args.format == "json":
-        print(json.dumps({"count": count, "predicted": predicted}))
+        yield json.dumps({"count": count, "predicted": predicted})
     else:
-        print(f"count {count}, predicted C({length},{args.k}) = {predicted}")
+        yield f"count {count}, predicted C({length},{args.k}) = {predicted}"
     return 0
 
 
@@ -235,7 +242,7 @@ def _factorize_line(w: str, d: bijections.Decomposition, args) -> str:
     return f"{_fmt_word(w)}: {text}" if args.all else text
 
 
-def cmd_bijection(args) -> int:
+def cmd_bijection(args) -> _Lines:
     from . import bijections
 
     if args.kind == "factorize" and args.inverse:
@@ -258,7 +265,7 @@ def cmd_bijection(args) -> int:
             apply, undo = undo, apply
         line = _theorem1_line
     if args.word is not None:
-        print(line(args.word, apply(args.word, args.p, args.q, g), args))
+        yield line(args.word, apply(args.word, args.p, args.q, g), args)
         return 0
 
     identities._require_shift_domain(args.p, args.q, g.m, args.n)
@@ -279,7 +286,7 @@ def cmd_bijection(args) -> int:
             continue
         count += 1
         image = apply(w, args.p, args.q, g)
-        print(line(w, image, args))
+        yield line(w, image, args)
         try:
             if undo(image, args.p, args.q, g) != w:
                 reason = reason or f"round trip failed for {w}"
@@ -291,11 +298,11 @@ def cmd_bijection(args) -> int:
         record: dict = {"status": "failed" if reason else "ok", "count": count}
         if reason:
             record["reason"] = reason
-        print(json.dumps(record))
+        yield json.dumps(record)
     elif reason:
-        print(f"BIJECTION FAILED: {reason}")
+        yield f"BIJECTION FAILED: {reason}"
     else:
-        print(f"BIJECTION OK ({count} words)")
+        yield f"BIJECTION OK ({count} words)"
     return 1 if reason else 0
 
 
@@ -303,7 +310,7 @@ def cmd_bijection(args) -> int:
 # grid-prove
 
 
-def cmd_grid_prove(args) -> int:
+def cmd_grid_prove(args) -> _Lines:
     offsets = None
     if args.offsets:
         try:
@@ -314,15 +321,13 @@ def cmd_grid_prove(args) -> int:
             ) from None
     report = identities.grid_prove(args.identity, args.n, offsets)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
+        yield json.dumps(report.to_json_dict())
     elif report.passed:
-        print(
-            f"CERTIFIED as polynomial identity for n={args.n} "
-            f"({report.params['grid_points']} grid points)"
-        )
+        yield (f"CERTIFIED as polynomial identity for n={args.n} "
+               f"({report.params['grid_points']} grid points)")
     else:
         point = " ".join(f"{k}={v}" for k, v in report.counterexample.items())
-        print(f"COUNTEREXAMPLE {args.identity} at {point}: lhs={report.lhs} rhs={report.rhs}")
+        yield f"COUNTEREXAMPLE {args.identity} at {point}: lhs={report.lhs} rhs={report.rhs}"
     return 0 if report.passed else 1
 
 
@@ -392,6 +397,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(lines: _Lines) -> int:
+    """Write the lines of a command to stdout and return its exit status.
+
+    The lines are joined into blocks, each written with one call and flushed:
+    once it holds ``io.DEFAULT_BUFFER_SIZE`` characters, once a line arrives
+    ``_BLOCK_DELAY_NS`` or more after its first line, and when the command
+    ends, by an exception too, before the exception is reported. ``sys.stdout``
+    is looked up at each write, so that a caller may redirect it. A stdout
+    closed during the run ends the command with exit 2 and no message.
+    """
+    block: list[str] = []
+    size = start = 0
+
+    def put() -> None:
+        text = "\n".join(block) + "\n"
+        block.clear()
+        stdout = sys.stdout
+        # None when the process started without a stdout: print writes nothing then
+        if stdout is not None:
+            stdout.write(text)
+            stdout.flush()
+
+    try:
+        try:
+            while True:
+                try:
+                    line = next(lines)
+                except StopIteration as stop:
+                    return stop.value
+                if not block:
+                    size, start = 0, perf_counter_ns()
+                block.append(line)
+                size += len(line) + 1
+                if size >= io.DEFAULT_BUFFER_SIZE or perf_counter_ns() - start >= _BLOCK_DELAY_NS:
+                    put()
+        finally:
+            if block:
+                put()
+    except BrokenPipeError:
+        # the reader has gone; the interpreter flushes stdout again at exit,
+        # so point the process's own descriptor at the null device (as the
+        # Python docs' note on SIGPIPE does) lest that flush fail too
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     # exact values are read and printed whole, whatever their size: lift the
@@ -403,7 +457,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return _write(args.handler(args))
     except SystemExit as exc:
         return int(exc.code or 0)
     except (CapExceededError, ValueError) as exc:

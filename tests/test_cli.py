@@ -1,5 +1,9 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import json
+import math
 import os
 import re
 import shlex
@@ -280,7 +284,6 @@ WHOLE_CLASS_RUNS = {
 def test_whole_class_run_memory_does_not_grow_with_the_class(case):
     # traced Python allocations, not RSS: the peak of a run over C(16, 8) =
     # 12,870 words stays within 0.25 MiB of its peak over C(10, 5) = 252
-    import contextlib
     import tracemalloc
 
     def peak(n):
@@ -1164,3 +1167,181 @@ def test_readme_lists_exactly_the_registry():
     paragraph = " ".join(readme.split("Identity names for `verify`:", 1)[1].split())
     names = re.findall(r"`([^`]+)`", paragraph.split(". ", 1)[0])
     assert names == list(identities.IDENTITIES)
+
+
+# ---------------------------------------------------------------------------
+# stdout: written in blocks, closed early, cut short by an error
+
+
+class Stdout:
+    """A stand-in for ``sys.stdout`` that keeps each write apart and raises
+    ``BrokenPipeError`` on write number ``broken``, as a closed pipe does."""
+
+    def __init__(self, broken=None):
+        self.writes = []
+        self.broken = broken
+
+    def write(self, text):
+        if len(self.writes) + 1 == self.broken:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def run_to(stdout, *argv):
+    """Exit code and stderr of ``rothe-lab`` on ``argv``, its stdout going to ``stdout``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
+
+
+# the q-Chu sweep of the cli-mixed benchmark: 1,757 reports and a summary
+QCHU_SWEEP = "verify --identity qchu --x=3..17 --y=1..7 --m=0..2 --n=0..5"
+QCHU_SWEEP_BYTES = 337_786
+QCHU_SWEEP_SHA256 = "9e609963729a0d01d4d6ff82177be80d9391c4176aad2f638df577ea4d400a7a"
+
+
+def qchu_sweep_text():
+    """The text output of ``QCHU_SWEEP``, checked against its recorded digest."""
+    stdout = Stdout()
+    assert run_to(stdout, *shlex.split(QCHU_SWEEP)) == (0, "")
+    text = "".join(stdout.writes)
+    assert len(text.encode()) == QCHU_SWEEP_BYTES
+    assert hashlib.sha256(text.encode()).hexdigest() == QCHU_SWEEP_SHA256
+    return text
+
+
+def test_output_is_written_in_blocks_of_8_kib(monkeypatch):
+    # the clock held still: a block is written once it holds 8 KiB, and the
+    # rest when the sweep ends
+    monkeypatch.setattr(cli, "perf_counter_ns", lambda: 0)
+    stdout = Stdout()
+    assert run_to(stdout, *shlex.split(QCHU_SWEEP)) == (0, "")
+    assert "".join(stdout.writes) == qchu_sweep_text()
+    assert len(stdout.writes) <= math.ceil(QCHU_SWEEP_BYTES / 8192) + 1
+    assert all(len(text) >= 8192 for text in stdout.writes[:-1])
+    assert all(text.endswith("\n") for text in stdout.writes)
+
+
+def test_a_line_100_ms_after_its_block_began_writes_the_block(monkeypatch):
+    # a clock that moves 100 ms per reading: every line is its own write
+    monkeypatch.setattr(cli, "perf_counter_ns", itertools.count(0, 100_000_000).__next__)
+    stdout = Stdout()
+    assert run_to(stdout, *shlex.split(QCHU_SWEEP)) == (0, "")
+    assert stdout.writes == qchu_sweep_text().splitlines(keepends=True)
+    assert len(stdout.writes) == 1758
+
+
+CLOSED_STDOUT_RUNS = {
+    "verify": "verify --identity qchu --x=3..8 --y=1..4 --m=0..2 --n=0..4",
+    "enumerate": "enumerate --p 14 --k 7 --m 0",
+    "bijection-all": "bijection theorem1 --p 10 --q 4 --m 1 --n 5 --all",
+}
+
+
+@pytest.mark.parametrize("broken", [1, 2])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(CLOSED_STDOUT_RUNS))
+def test_closed_stdout_exits_2_without_a_message(case, fmt, broken):
+    argv = [*shlex.split(CLOSED_STDOUT_RUNS[case]), "--format", fmt]
+    whole = Stdout()
+    assert run_to(whole, *argv) == (0, "")
+    assert len(whole.writes) > 2
+    stdout = Stdout(broken)
+    assert run_to(stdout, *argv) == (2, "")
+    assert stdout.writes == whole.writes[:broken - 1]
+
+
+def test_no_stdout_at_all_runs_silently():
+    # a process started with its descriptor 1 closed has no sys.stdout
+    assert run_to(None, *shlex.split(CLOSED_STDOUT_RUNS["enumerate"])) == (0, "")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv, first_line", [
+    ("enumerate --p 20 --k 10 --m 0", b"aaaaaaaaaabbbbbbbbbb  weight=20 inv=0\n"),
+    (QCHU_SWEEP, b"qchu x=3 y=1 m=0 n=0: PASS 1\n"),
+], ids=["enumerate", "qchu-sweep"])
+def test_reader_gone_after_one_line_exits_2_without_a_message(argv, first_line, unbuffered):
+    # the reader keeps one line of output far larger than a pipe holds and
+    # closes its end: no traceback, no "Exception ignored" at shutdown and no
+    # exit 120, whether stdout is buffered or not
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", cli.CAP_ENV_VAR)}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "rothe_lab.cli", *shlex.split(argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (first, code, err) == (first_line, 2, b"")
+
+
+def nth_call_breaks(monkeypatch, module, name, n, broken):
+    """Make the ``n``-th call of ``module.name`` return ``broken(original,
+    *args, **kwargs)`` instead, where ``original`` is the function it replaces."""
+    original = getattr(module, name)
+    calls = itertools.count(1)
+
+    def patched(*args, **kwargs):
+        if next(calls) == n:
+            return broken(original, *args, **kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def no_split(original, *args, **kwargs):
+    raise NoMatchError("no split")
+
+
+def test_lines_before_an_internal_error_reach_stdout(monkeypatch):
+    from rothe_lab import qseries
+
+    before = qchu_sweep_text().splitlines(keepends=True)[:399]
+    assert len("".join(before)) > 8192
+    nth_call_breaks(monkeypatch, qseries, "check_qchu", 400, no_split)
+    stdout = Stdout()
+    assert run_to(stdout, *shlex.split(QCHU_SWEEP)) == (3, "internal error: no split\n")
+    assert "".join(stdout.writes) == "".join(before)
+
+
+def test_lines_before_a_fail_fast_stop_reach_stdout(monkeypatch):
+    from rothe_lab import qseries
+
+    def failing(original, **kwargs):
+        report = original(**kwargs)
+        return report._replace(status="fail", counterexample=dict(report.params))
+
+    before = qchu_sweep_text().splitlines(keepends=True)[:399]
+    nth_call_breaks(monkeypatch, qseries, "check_qchu", 400, failing)
+    stdout = Stdout()
+    assert run_to(stdout, *shlex.split(QCHU_SWEEP), "--fail-fast") == (1, "")
+    *head, fail, summary = "".join(stdout.writes).splitlines(keepends=True)
+    assert head == before
+    assert re.fullmatch(r"qchu x=\d+ y=\d+ m=\d+ n=\d+: FAIL lhs=\S+ rhs=\S+\n", fail)
+    assert summary == "400 checked, 1 failed, 105 skipped\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lines_before_a_broken_bijection_reach_stdout(monkeypatch, fmt):
+    argv = [*shlex.split(CLOSED_STDOUT_RUNS["bijection-all"]), "--format", fmt]
+    whole = Stdout()
+    assert run_to(whole, *argv) == (0, "")
+    # theorem1_forward runs once per word of the source class, one line each
+    before = "".join(whole.writes).splitlines(keepends=True)[:399]
+    assert len("".join(before)) > 8192
+    nth_call_breaks(monkeypatch, bijections, "theorem1_forward", 400, no_split)
+    stdout = Stdout()
+    assert run_to(stdout, *argv) == (3, "internal error: no split\n")
+    assert "".join(stdout.writes) == "".join(before)

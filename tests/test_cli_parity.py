@@ -1,5 +1,7 @@
 """CLI parity: the exit code, stdout and stderr of a fixed set of invocations,
 each in text and json, against the outputs recorded in ``cli_parity.json``.
+Every run is made in-process; a few are made again as a fresh interpreter
+writing to a pipe.
 
 Any change of behaviour on these invocations shows up as a diff of that
 file. After a deliberate change, regenerate it and review the diff:
@@ -12,6 +14,7 @@ import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -145,6 +148,28 @@ def test_recorded_runs_are_the_cases():
 def test_cli_matches_recorded_run(monkeypatch, key):
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     assert invoke(runs()[key]) == recorded()[key]
+
+
+# runs whose output spans several blocks or that end in a refusal, repeated as
+# a fresh interpreter writing to a pipe, with stdout buffered and unbuffered
+STREAM_CASES = ("qchu-recurring", "invw-recurring", "theorem1-all", "enumerate-prefix",
+                "work-cap")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("key", [f"{name}[{fmt}]" for name in STREAM_CASES
+                                 for fmt in ("text", "json")])
+def test_cli_matches_recorded_run_on_a_pipe(key, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", cli.CAP_ENV_VAR)}
+    env.update(PYTHONPATH=str(Path(__file__).parents[1] / "src"), PYTHONIOENCODING="utf-8")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = runs()[key]
+    proc = subprocess.run([sys.executable, "-m", "rothe_lab.cli", *argv], capture_output=True,
+                          timeout=60, env=env)
+    run = {"argv": argv, "exit": proc.returncode,
+           "stdout": proc.stdout.decode("utf-8"), "stderr": proc.stderr.decode("utf-8")}
+    assert run == recorded()[key]
 
 
 if __name__ == "__main__":
