@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 when every check passes, 1 when a
 mathematical check fails (a counterexample is printed), 2 on usage or
 configuration errors, work-cap breaches included, or, without a message,
 when stdout is closed before the run ends, and 3 when the library reports an
-internal error (a broken invariant, such as ``NoMatchError``).
+internal error (a broken invariant, such as ``NoMatchError``). Their
+messages go to stderr alone; a closed stderr loses a message, not its code.
 Output is deterministic; ``--format json`` emits one JSON object per line
 with identical verdicts to the text mode. Each command yields its lines and
 returns its exit status; :func:`main` alone writes them to stdout, in blocks.
@@ -446,6 +447,18 @@ def _write(lines: _Lines) -> int:
         return 2
 
 
+def _complain(message: str) -> None:
+    """Print ``message`` to stderr. A missing or closed stderr loses the
+    message, never the exit status that goes with it."""
+    stderr = sys.stderr
+    # None when the process started without a stderr: print would fall back to stdout
+    if stderr is not None:
+        try:
+            print(message, file=stderr)
+        except OSError:
+            pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     # exact values are read and printed whole, whatever their size: lift the
@@ -461,10 +474,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except (CapExceededError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return 2
     except RotheLabError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _complain(f"internal error: {exc}")
         return 3
     finally:
         if limit:

@@ -32,10 +32,12 @@ class LaurentPolynomial:
     zero is ``(0, ())`` and equality is term-by-term on the canonical form.
     Memory grows with the exponent span, not the number of terms.
     Arithmetic accepts plain ints as constants. ``str`` formats once and
-    keeps its text in ``_text``, which equality, hashing and copies ignore.
+    keeps its text in ``_text``; the product kernel scans the coefficients
+    once and keeps their height in ``_height``. Equality, hashing and copies
+    ignore both.
     """
 
-    __slots__ = ("_offset", "_coeffs", "_text")
+    __slots__ = ("_offset", "_coeffs", "_text", "_height")
 
     def __init__(
         self,
@@ -213,6 +215,19 @@ _ONE = LaurentPolynomial({0: 1})
 _NATIVE_SLOTS = {array(code).itemsize: code for code in "BHIQ"}
 
 
+def _height_of(poly: LaurentPolynomial) -> tuple[int, bool]:
+    """The largest coefficient magnitude of ``poly`` and whether any of its
+    coefficients is negative: scanned on first use, then kept in the
+    polynomial's ``_height``, so that a recurring factor is scanned once."""
+    try:
+        return poly._height
+    except AttributeError:
+        low, high = min(poly._coeffs, default=0), max(poly._coeffs, default=0)
+        height = max(high, -low), low < 0
+        object.__setattr__(poly, "_height", height)
+        return height
+
+
 def _pack(coeffs, size: int, signed: bool) -> int:
     """``sum_i coeffs[i] * 2**(8 * size * i)`` for coefficients below
     ``2**(8 * size)`` in magnitude. With ``signed`` the run may hold
@@ -251,25 +266,32 @@ def _sum_of_products(summands) -> LaurentPolynomial:
     from the result: no coefficient of ``left * right`` exceeds ``max|left| *
     max|right| * min(len)`` in magnitude, so none of the sum exceeds the total
     of that bound over the triples. When a factor has a negative coefficient,
-    one more bit holds the sign. See D. Harvey, "Faster polynomial
-    multiplication via multipoint Kronecker substitution", J. Symbolic
-    Comput. 44 (2009).
+    one more bit holds the sign. Each factor's height comes from
+    :func:`_height_of`, so a bracket that recurs across calls is scanned once.
+    See D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+    substitution", J. Symbolic Comput. 44 (2009).
     """
     triples = []
     bound, signed = 0, False
     for shift, left, right in summands:
         a, b = left._coeffs, right._coeffs
         if a and b:
-            triples.append((shift + left._offset + right._offset, a, b))
-            low_a, low_b = min(a), min(b)
-            signed = signed or low_a < 0 or low_b < 0
-            bound += max(max(a), -low_a) * max(max(b), -low_b) * min(len(a), len(b))
+            height_a, negative_a = _height_of(left)
+            height_b, negative_b = _height_of(right)
+            signed = signed or negative_a or negative_b
+            bound += height_a * height_b * min(len(a), len(b))
+            low = shift + left._offset + right._offset
+            stop = low + len(a) + len(b) - 1  # one past the product's top exponent
+            if not triples or low < lowest:
+                lowest = low
+            if not triples or stop > end:
+                end = stop
+            triples.append((low, a, b))
     if not triples:
         return _ZERO
     width = bound.bit_length() + signed
     size = next((s for s in _NATIVE_SLOTS if 8 * s >= width), (width + 7) // 8)
-    lowest = min(low for low, _, _ in triples)
-    count = max(low + len(a) + len(b) - 1 for low, a, b in triples) - lowest
+    count = end - lowest
     total = 0
     for low, a, b in triples:
         product = _pack(a, size, signed) * _pack(b, size, signed)

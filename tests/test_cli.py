@@ -671,6 +671,19 @@ def test_bench_selftest_catches_every_wrong_answer():
     assert caught and caught[1] == caught[2] != "0", proc.stdout
 
 
+def test_traced_qchu_sweep_runs_correct():
+    # the tracer wraps the q-checkers, the bracket recursion and the
+    # polynomial class; a change that breaks a wrapped call fails the traced
+    # q-checks, and the run reports it here. This sweep builds no polynomial
+    # through __init__: test_construction_survives_a_wrapped_init guards that
+    proc = python(str(Path(__file__).parents[1] / "bench" / "run.py"),
+                  "--workload", "qchu-sweep", "--seconds", "1", "--trace", "1", timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
+    assert result["attempted"] > 0
+
+
 def test_console_entry_point():
     proc = python("-m", "rothe_lab.cli", "verify", "--identity", "pqkm",
                   "--p", "2", "--q", "2", "--m", "1", "--n", "2")
@@ -1345,3 +1358,46 @@ def test_lines_before_a_broken_bijection_reach_stdout(monkeypatch, fmt):
     stdout = Stdout()
     assert run_to(stdout, *argv) == (3, "internal error: no split\n")
     assert "".join(stdout.writes) == "".join(before)
+
+
+# a fresh interpreter that makes every check_qchu raise an internal error
+BROKEN_QCHU = (
+    "import sys; from rothe_lab import NoMatchError, cli, qseries\n"
+    "def broken(*args, **kwargs): raise NoMatchError('no split')\n"
+    "qseries.check_qchu = broken\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+# run in the child before it starts: no descriptor 2 at all (so no
+# sys.stderr), or one on which every write fails with ENOSPC
+LOSE_STDERR = {
+    "closed": lambda: os.close(2),
+    "full": lambda: os.dup2(os.open("/dev/full", os.O_WRONLY), 2),
+}
+
+
+@pytest.mark.parametrize("lost", sorted(LOSE_STDERR))
+@pytest.mark.parametrize("argv, code, message", [
+    (["-m", "rothe_lab.cli", "verify", "--identity", "nope", "--x", "1"], 2,
+     "error: unknown identity 'nope'"),
+    (["-m", "rothe_lab.cli", "verify", "--identity", "rothe1", "--x", "0..3", "--y", "1",
+      "--z", "1", "--n", "2", "--cap", "1"], 2, "error: estimated work of at least 4"),
+    (["-c", BROKEN_QCHU, "verify", "--identity", "qchu", "--x", "3", "--y", "1", "--m", "0",
+      "--n", "1"], 3, "internal error: no split"),
+], ids=["usage", "cap", "internal"])
+def test_a_lost_stderr_message_keeps_the_exit_code(argv, code, message, lost):
+    # the message goes to stderr alone; a lost stderr loses the message, not
+    # the exit code
+    src = str(Path(__file__).parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != cli.CAP_ENV_VAR}
+    env["PYTHONPATH"] = src
+    shown = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                           timeout=60, env=env)
+    assert (shown.returncode, shown.stdout) == (code, "")
+    assert shown.stderr.startswith(message)
+    if lost == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full to fail every write")
+    run = subprocess.run([sys.executable, *argv], stdout=subprocess.PIPE, text=True,
+                         timeout=60, env=env, preexec_fn=LOSE_STDERR[lost])
+    assert (run.returncode, run.stdout) == (code, "")

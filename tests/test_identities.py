@@ -411,6 +411,23 @@ def test_grid_prove_catches_one_wrong_interior_point(monkeypatch, name):
     assert (rep.lhs, rep.rhs) == (Fraction(truth[0] + 1, 2), Fraction(truth[1], 2))
 
 
+def test_gould_sides_match_the_sides_point_by_point():
+    # the grid kernel shares rows and tails across points; each point must
+    # still read S_0(x, y; z, n) on the left and S_0(x + eps, y - eps; z, n)
+    # on the right, over a common denominator d, on axes of uneven lengths
+    rng = random.Random(2714)
+    for _ in range(150):
+        axes = [range(start, start + rng.randint(1, 5))
+                for start in (rng.randint(-7, 7) for _ in range(4))]
+        n, d = rng.randint(0, 5), rng.choice((1, 1, 2, 3, 6))
+        lhs, rhs = identities._gould_sides(*axes, n, d)
+        points = list(itertools.product(*axes))
+        assert list(lhs) == [identities._convolution_numerator(x, y, z, n, d)
+                             for x, y, z, _ in points]
+        assert list(rhs) == [identities._convolution_numerator(x + e, y - e, z, n, d)
+                             for x, y, z, e in points], (axes, n, d)
+
+
 def degree_violations(sides, width, n, bases):
     """Each ``(side, variable, base)`` at which the ``(n+1)``-th forward
     difference of an integer side, in one grid variable from an integer base

@@ -164,6 +164,38 @@ def test_lp_copies_and_pickles(poly):
     assert clone == report and clone.passed and str(clone.lhs) == str(report.lhs)
 
 
+def test_lp_keeps_its_height():
+    rng = random.Random(27)
+    polys = [LaurentPolynomial({0: c}) for c in (1, -1, 7, -10**30)]
+    polys += [gaussian_binomial(9, 4), -gaussian_binomial(9, 4).shift(-3)]
+    for _ in range(200):
+        low = rng.randint(-5, 3)
+        polys.append(LaurentPolynomial(
+            {low + i: rng.choice((-2, -1, 0, 1, 2, rng.randint(-10**40, 10**40)))
+             for i in range(rng.randint(1, 8))}
+        ))
+    polys = [poly for poly in polys if poly]
+    assert any(qseries._height_of(p)[1] for p in polys)
+    assert not all(qseries._height_of(p)[1] for p in polys)
+    for poly in polys:
+        before = hash(poly)
+        coeffs = [poly.coefficient(e) for e in range(poly.min_exponent(), poly.max_exponent() + 1)]
+        height = qseries._height_of(poly)
+        assert height == (max(map(abs, coeffs)), min(coeffs) < 0), repr(poly)
+        # kept: the second call returns it, and neither equality, hashing nor
+        # a copy sees it
+        assert qseries._height_of(poly) is height
+        assert poly == LaurentPolynomial(poly.terms()) and hash(poly) == before
+        for clone in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+            assert getattr(clone, "_height", None) is None
+            assert clone == poly and hash(clone) == before
+            assert qseries._height_of(clone) == height
+        with pytest.raises(AttributeError):
+            poly._height = (0, False)
+        assert qseries._height_of(poly) is height
+    assert qseries._height_of(LaurentPolynomial()) == (0, False)
+
+
 def test_construction_survives_a_wrapped_init(monkeypatch):
     # a tracer counts constructions by wrapping __init__ in a pass-through of
     # its arguments; a constructor moved to __new__ would hand them on to
@@ -650,15 +682,30 @@ def test_lp_products_match_dict_reference(a, b):
     assert product == reference_mul(pa, pb) == pb * pa
 
 
+def schoolbook_sum(triples) -> LaurentPolynomial:
+    expected = LaurentPolynomial()
+    for s, a, b in triples:
+        expected = expected + reference_mul(a, b).shift(s)
+    return expected
+
+
+# operands shared by every example below, one unsigned and one signed: from
+# the first example on they carry kept heights into calls with new partners
+REUSED_OPERANDS = (LaurentPolynomial({0: 3, 2: 5}), LaurentPolynomial({-1: -4, 1: 2, 3: 10**20}))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(min_value=-30, max_value=30), operands_st, operands_st),
                 max_size=5))
 def test_sum_of_products_matches_schoolbook(triples):
     polys = [(s, LaurentPolynomial(a), LaurentPolynomial(b)) for s, a, b in triples]
-    expected = LaurentPolynomial()
-    for s, a, b in polys:
-        expected = expected + reference_mul(a, b).shift(s)
-    assert qseries._sum_of_products(iter(polys)) == expected
+    assert qseries._sum_of_products(iter(polys)) == schoolbook_sum(polys)
+    # the same objects again, their heights now kept, each also next to
+    # each reused operand: the slot width changes, the product must not
+    again = polys + [(s + 1, reused, b) for s, _, b in polys for reused in REUSED_OPERANDS]
+    again += [(s, a, reused) for reused in REUSED_OPERANDS for s, a, _ in polys]
+    assert qseries._sum_of_products(iter(again)) == schoolbook_sum(again)
+    assert qseries._sum_of_products(iter(polys)) == schoolbook_sum(polys)
 
 
 def test_sum_of_products_cancels_to_canonical_zero():
@@ -717,6 +764,34 @@ def test_qchu_sums_match_schoolbook():
                     assert check_qchu(x, y, m, n).lhs == expected, (x, y, m, n)
                     if m == 1:
                         assert check_qchu_m1(x, y, n).lhs == expected, (x, y, n)
+
+
+def test_a_recurring_factor_is_scanned_once(monkeypatch):
+    # the kernel sizes its slots from the heights of its factors; counted
+    # through the module's min and max, a sweep repeated three times scans
+    # each distinct bracket once, where rescanning every factor of every
+    # product would scan each recurring one again on every call
+    scans = Counter()
+
+    def counted(builtin):
+        def scan(*args, **kwargs):
+            if len(args) == 1 and isinstance(args[0], tuple):
+                scans[builtin.__name__, args[0]] += 1
+            return builtin(*args, **kwargs)
+        return scan
+
+    gaussian_binomial.cache_clear()
+    monkeypatch.setattr(qseries, "min", counted(min), raising=False)
+    monkeypatch.setattr(qseries, "max", counted(max), raising=False)
+    rng = random.Random(2707)
+    sweep = [(x, y, m, n) for x in range(13) for y in range(1, 6) for m in range(3)
+             for n in range(5) if x >= m * n]
+    rng.shuffle(sweep)
+    for _ in range(3):
+        for args in sweep:
+            assert check_qchu(*args).passed, args
+    assert len(scans) > 50
+    assert max(scans.values()) == 1
 
 
 def test_check_qchu_large_operands():
