@@ -341,8 +341,20 @@ def _add_format_flag(sp) -> None:
                     help="output encoding (default: text)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose refusals go to stderr alone. argparse
+    prints the usage part to ``sys.stdout`` when ``sys.stderr`` is ``None``
+    (descriptor 2 closed at start); here the whole message goes through
+    :func:`_complain`, with the same bytes and exit status 2. Subparsers are
+    built from the parser's own class, so they refuse alike."""
+
+    def error(self, message):
+        _complain(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rothe-lab",
         description="Enumerate graded binary words, apply the word bijections, "
         "and verify the classical convolution identities exactly.",

@@ -4,8 +4,9 @@ Polynomials are stored densely as a lowest exponent and the run of integer
 coefficients from there up, with arbitrary-precision coefficients and
 possibly negative exponents; ``q`` stays symbolic throughout (the only
 numeric specialization offered is ``q = 1``). Every product, and every sum
-of shifted products, goes through one packed big-integer kernel,
-:func:`_sum_of_products`.
+of shifted products, is packed into one big integer by :func:`_pack_sum`;
+the q-Chu checks compare that integer with the packed closed form and
+unpack it only on a mismatch.
 """
 
 from __future__ import annotations
@@ -256,46 +257,72 @@ def _unpack(value: int, size: int, count: int) -> list[int]:
     return [int.from_bytes(raw[i : i + size], sys.byteorder) for i in range(0, len(raw), size)]
 
 
-def _sum_of_products(summands) -> LaurentPolynomial:
+def _pack_sum(summands):
     """``sum q^shift * left * right`` over ``(shift, left, right)`` triples of
-    polynomials, by Kronecker substitution.
+    polynomials, packed into one integer by Kronecker substitution.
 
     Every factor becomes one integer whose base-``2^B`` digits are its
-    coefficients; the shifted products are added into one integer, which is
-    unpacked once. The slot width ``B`` comes from an a-priori bound, never
-    from the result: no coefficient of ``left * right`` exceeds ``max|left| *
-    max|right| * min(len)`` in magnitude, so none of the sum exceeds the total
-    of that bound over the triples. When a factor has a negative coefficient,
-    one more bit holds the sign. Each factor's height comes from
-    :func:`_height_of`, so a bracket that recurs across calls is scanned once.
-    See D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
-    substitution", J. Symbolic Comput. 44 (2009).
+    coefficients, and the shifted products are added into one integer. The
+    slot width ``B`` comes from an a-priori bound, never from the result: no
+    coefficient of ``left * right`` exceeds ``max|left| * max|right| *
+    min(len)`` in magnitude, so none of the sum exceeds the total of that
+    bound over the triples. When a factor has a negative coefficient, one more
+    bit holds the sign. Each factor's height comes from :func:`_height_of`, so
+    a bracket that recurs across calls is scanned once. See D. Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker substitution",
+    J. Symbolic Comput. 44 (2009).
+
+    Returns ``(total, lowest, count, size, signed, bound)``: the packed sum,
+    whose slot ``i`` holds the coefficient of ``q^(lowest + i)`` for ``i <
+    count``, the slot size in bytes, whether a coefficient may be negative,
+    and the bound on every coefficient's magnitude. :func:`_unpack_sum` reads
+    it as a polynomial and :func:`_packed_equals` compares it with one.
     """
     triples = []
     bound, signed = 0, False
+    lowest = end = 0
     for shift, left, right in summands:
         a, b = left._coeffs, right._coeffs
         if a and b:
             height_a, negative_a = _height_of(left)
             height_b, negative_b = _height_of(right)
-            signed = signed or negative_a or negative_b
-            bound += height_a * height_b * min(len(a), len(b))
+            if negative_a or negative_b:
+                signed = True
+            len_a, len_b = len(a), len(b)
+            bound += height_a * height_b * (len_a if len_a < len_b else len_b)
             low = shift + left._offset + right._offset
-            stop = low + len(a) + len(b) - 1  # one past the product's top exponent
-            if not triples or low < lowest:
-                lowest = low
-            if not triples or stop > end:
-                end = stop
+            stop = low + len_a + len_b - 1  # one past the product's top exponent
+            if not triples:
+                lowest, end = low, stop
+            else:
+                if low < lowest:
+                    lowest = low
+                if stop > end:
+                    end = stop
             triples.append((low, a, b))
-    if not triples:
-        return _ZERO
     width = bound.bit_length() + signed
     size = next((s for s in _NATIVE_SLOTS if 8 * s >= width), (width + 7) // 8)
-    count = end - lowest
+    slot = 8 * size
+    # unsigned runs of a native slot size are packed here, without a call
+    code = None if signed else _NATIVE_SLOTS.get(size)
+    byteorder = sys.byteorder
     total = 0
     for low, a, b in triples:
-        product = _pack(a, size, signed) * _pack(b, size, signed)
-        total += product << (8 * size * (low - lowest))
+        if code:
+            product = int.from_bytes(array(code, a), byteorder) * int.from_bytes(
+                array(code, b), byteorder
+            )
+        else:
+            product = _pack(a, size, signed) * _pack(b, size, signed)
+        total += product << (slot * (low - lowest))
+    return total, lowest, end - lowest, size, signed, bound
+
+
+def _unpack_sum(packed) -> LaurentPolynomial:
+    """The polynomial that :func:`_pack_sum` packed."""
+    total, lowest, count, size, signed, _ = packed
+    if not count:  # an empty sum
+        return _ZERO
     if not signed:
         return LaurentPolynomial._dense(lowest, _unpack(total, size, count))
     # every coefficient lies strictly within half a slot of zero, so adding
@@ -303,6 +330,34 @@ def _sum_of_products(summands) -> LaurentPolynomial:
     bias = 1 << (8 * size - 1)
     total += int.from_bytes(bias.to_bytes(size, sys.byteorder) * count, sys.byteorder)
     return LaurentPolynomial._dense(lowest, [c - bias for c in _unpack(total, size, count)])
+
+
+def _packed_equals(packed, poly: LaurentPolynomial) -> bool:
+    """Whether the sum that :func:`_pack_sum` packed equals ``poly``, decided
+    on the packed integer without unpacking it.
+
+    Each coefficient of the sum lies within the bound and each of its
+    exponents within its ``count`` slots, so a ``poly`` outside either is
+    unequal, and so is one with a negative coefficient against an unsigned
+    sum. Any other ``poly``, packed at the sum's slot size from the sum's
+    lowest exponent, fills only those slots, each less than the base in
+    magnitude (less than half of it when signed), as the sum does; two such
+    integers are equal exactly when their slots are."""
+    total, lowest, count, size, signed, bound = packed
+    coeffs = poly._coeffs
+    if not coeffs:
+        return not total
+    height, negative = _height_of(poly)
+    start = poly._offset - lowest
+    if height > bound or (negative and not signed) or start < 0 or start + len(coeffs) > count:
+        return False
+    return _pack(coeffs, size, signed) << (8 * size * start) == total
+
+
+def _sum_of_products(summands) -> LaurentPolynomial:
+    """``sum q^shift * left * right`` over ``(shift, left, right)`` triples of
+    polynomials: :func:`_pack_sum`, unpacked once."""
+    return _unpack_sum(_pack_sum(summands))
 
 
 @lru_cache(maxsize=None)
@@ -381,39 +436,46 @@ def check_invw(p: int, k: int, m: int) -> VerificationReport:
     return VerificationReport.from_sides("invw", {"p": p, "k": k, "m": m}, lhs, rhs)
 
 
-def _qchu_summands(x: int, y: int, m: int, n: int, k: int):
-    """The ``k``-th summand of the double-sum q-Chu-Vandermonde extension as
-    ``(shift, left, right)`` triples for :func:`_sum_of_products`: the
-    bracket product ``[x-km, k] [y+km, n-k]``, then one product for each
-    ``j = 1..m``."""
-    shift = k * (k * m + k + y - n)
-    yield shift, gaussian_binomial(x - k * m, k), gaussian_binomial(y + k * m, n - k)
-    for j in range(1, m + 1):
-        left = gaussian_binomial(x - k * m + j - 1, k - 1)
-        if not left:
-            # at k = 0 the j-terms vanish; skipping also avoids evaluating
-            # the partner bracket at a negative upper argument
-            continue
-        yield shift - k * j, left, gaussian_binomial(y + k * m - j, n - k)
+def _qchu_summands(x: int, y: int, m: int, n: int, ks: range) -> list:
+    """The ``k``-th summands of the double-sum q-Chu-Vandermonde extension, for
+    every ``k`` in ``ks``, as one list of ``(shift, left, right)`` triples for
+    :func:`_pack_sum`: for each ``k`` the bracket product ``[x-km, k]
+    [y+km, n-k]``, then one product for each ``j = 1..m``."""
+    triples = []
+    for k in ks:
+        shift = k * (k * m + k + y - n)
+        base = x - k * m
+        partner = y + k * m
+        triples.append((shift, gaussian_binomial(base, k), gaussian_binomial(partner, n - k)))
+        for j in range(1, m + 1):
+            left = gaussian_binomial(base + j - 1, k - 1)
+            if not left:
+                # at k = 0 the j-terms vanish; skipping also avoids evaluating
+                # the partner bracket at a negative upper argument
+                continue
+            triples.append((shift - k * j, left, gaussian_binomial(partner - j, n - k)))
+    return triples
 
 
 def qchu_term(x: int, y: int, m: int, n: int, k: int) -> LaurentPolynomial:
     """The ``k``-th summand of the double-sum q-Chu-Vandermonde extension."""
-    return _sum_of_products(_qchu_summands(x, y, m, n, k))
+    return _sum_of_products(_qchu_summands(x, y, m, n, range(k, k + 1)))
 
 
-def _qchu_sum(x: int, y: int, m: int, n: int) -> LaurentPolynomial:
+def _qchu_lhs(x: int, y: int, m: int, n: int, closed: LaurentPolynomial) -> LaurentPolynomial:
     """The structured double sum ``sum_k qchu_term(x, y, m, n, k)``, added up
-    in one packed integer."""
-    return _sum_of_products(
-        triple for k in range(n + 1) for triple in _qchu_summands(x, y, m, n, k)
-    )
+    in one packed integer and compared packed with ``closed``: ``closed``
+    itself when they are equal, so that a pass builds no polynomial, and the
+    sum unpacked once when they are not."""
+    packed = _pack_sum(_qchu_summands(x, y, m, n, range(n + 1)))
+    return closed if _packed_equals(packed, closed) else _unpack_sum(packed)
 
 
 def _qchu_sides(x: int, y: int, m: int, n: int):
     """The double sum and the closed form ``[x+y, n]`` inside the shift domain."""
     _require_shift_domain(x, y, m, n, ("x", "y"))
-    return _qchu_sum(x, y, m, n), gaussian_binomial(x + y, n)
+    closed = gaussian_binomial(x + y, n)
+    return _qchu_lhs(x, y, m, n, closed), closed
 
 
 def check_qchu(x: int, y: int, m: int, n: int) -> VerificationReport:
@@ -455,7 +517,7 @@ def qweighted_bijection_check(p: int, q: int, m: int, n: int) -> VerificationRep
     # the length cap is refused before either q-Chu side is computed
     enumerated = inv_generating_function(p + q + m * n, n, Grading(m))
     bracket = gaussian_binomial(p + q, n)
-    structured = _qchu_sum(p, q, m, n)
+    structured = _qchu_lhs(p, q, m, n, bracket)
     params = {"p": p, "q": q, "m": m, "n": n}
     if enumerated == bracket == structured:
         return VerificationReport("qword", params, enumerated, bracket, "pass")

@@ -404,8 +404,10 @@ def test_verify_formats_each_closed_form_once(capsys, monkeypatch, argv, closed_
 def test_verify_failing_q_report_prints_both_sides(capsys, monkeypatch, fmt):
     from rothe_lab import qseries
 
-    double_sum = qseries._qchu_sum
-    monkeypatch.setattr(qseries, "_qchu_sum", lambda *args: double_sum(*args).shift(-1))
+    # every summand one power of q lower, so the double sum is too
+    summands = qseries._qchu_summands
+    monkeypatch.setattr(qseries, "_qchu_summands",
+                        lambda *args: [(s - 1, a, b) for s, a, b in summands(*args)])
     code, out, _ = run(capsys, "verify", "--identity", "qchu", "--x", "2", "--y", "1",
                        "--m", "1", "--n", "1", "--format", fmt)
     assert code == 1
@@ -1385,7 +1387,8 @@ LOSE_STDERR = {
       "--z", "1", "--n", "2", "--cap", "1"], 2, "error: estimated work of at least 4"),
     (["-c", BROKEN_QCHU, "verify", "--identity", "qchu", "--x", "3", "--y", "1", "--m", "0",
       "--n", "1"], 3, "internal error: no split"),
-], ids=["usage", "cap", "internal"])
+    (["-m", "rothe_lab.cli", "verify", "--bogus"], 2, "usage: rothe-lab verify"),
+], ids=["usage", "cap", "internal", "argparse"])
 def test_a_lost_stderr_message_keeps_the_exit_code(argv, code, message, lost):
     # the message goes to stderr alone; a lost stderr loses the message, not
     # the exit code

@@ -491,7 +491,7 @@ def test_qweighted_refuses_before_any_sum(monkeypatch):
     def no_sum(*args):
         raise AssertionError("q-Chu sides computed for a refused tuple")
 
-    monkeypatch.setattr(qseries, "_qchu_sum", no_sum)
+    monkeypatch.setattr(qseries, "_qchu_summands", no_sum)
     with pytest.raises(CapExceededError):
         qweighted_bijection_check(100, 100, 1, 50)
     with pytest.raises(ParameterError, match=r"^need p >= m\*n and q >= 1"):
@@ -503,9 +503,9 @@ def test_flipped_qchu_exponent_is_caught(monkeypatch):
     # (less k*j for the j-terms); the mutant negates that common exponent
     summands = qseries._qchu_summands
 
-    def flipped(x, y, m, n, k):
-        for shift, left, right in summands(x, y, m, n, k):
-            yield shift - 2 * k * (k * m + k + y - n), left, right
+    def flipped(x, y, m, n, ks):
+        return [(shift - 2 * k * (k * m + k + y - n), left, right)
+                for k in ks for shift, left, right in summands(x, y, m, n, range(k, k + 1))]
 
     monkeypatch.setattr(qseries, "_qchu_summands", flipped)
     tuples = [(x, y, m, n) for m in range(2) for n in range(3)
@@ -523,7 +523,8 @@ def test_qchu_sum_is_sum_of_terms():
                     total = LaurentPolynomial()
                     for k in range(n + 1):
                         total = total + qchu_term(x, y, m, n, k)
-                    assert qseries._qchu_sum(x, y, m, n) == total, (x, y, m, n)
+                    summands = qseries._qchu_summands(x, y, m, n, range(n + 1))
+                    assert qseries._sum_of_products(summands) == total, (x, y, m, n)
 
 
 def test_concatenation_exponent_rule():
@@ -739,6 +740,104 @@ def test_sum_of_products_at_the_width_bound(bits, length, copies, signs):
     assert total.coefficient(length) == signs[0] * signs[1] * 2 ** (bits - 1)
 
 
+def random_triples(rng: random.Random, signed: bool) -> list:
+    """Up to four seeded ``(shift, left, right)`` triples, some factors zero,
+    with coefficients from a few bits to wider than any native slot, and
+    negative ones only when ``signed``."""
+    def factor():
+        if rng.random() < 0.1:
+            return LaurentPolynomial()
+        top = rng.choice((3, 300, 70_000, 2**40, 10**25))
+        offset = rng.randint(-5, 5)
+        return LaurentPolynomial({e: rng.randint(-top if signed else 0, top)
+                                  for e in range(offset, offset + rng.randint(1, 12))})
+
+    return [(rng.randint(-6, 6), factor(), factor()) for _ in range(rng.randint(0, 4))]
+
+
+def near_misses(packed) -> list:
+    """The packed sum itself, and polynomials that differ from it by one
+    term: inside its span, just below and just above it, past its bound, or
+    past its slot width in a way that packs to the same integer."""
+    _, lowest, count, size, _, bound = packed
+    total = qseries._unpack_sum(packed)
+    out = [total, LaurentPolynomial()]
+    for e in (lowest - 1, lowest, lowest + count // 2, lowest + count - 1, lowest + count):
+        out += [total + LaurentPolynomial({e: 1}), total - LaurentPolynomial({e: 1})]
+    if total:
+        e = total.min_exponent()
+        # one slot's worth carried up one slot: the same packed integer
+        out.append(total + LaurentPolynomial({e: 1 << (8 * size), e + 1: -1}))
+        c = total.coefficient(e)
+        out.append(total + LaurentPolynomial({e: (bound + 1 if c > 0 else -bound - 1) - c}))
+    return out
+
+
+def test_packed_comparison_matches_unpacked_equality():
+    rng = random.Random(2901)
+    verdicts = Counter()
+    for signed in (False, True) * 150:
+        packed = qseries._pack_sum(random_triples(rng, signed))
+        unpacked = qseries._unpack_sum(packed)
+        for poly in near_misses(packed):
+            verdict = qseries._packed_equals(packed, poly)
+            assert verdict == (unpacked == poly), (packed, poly)
+            verdicts[packed[4], verdict] += 1
+    # an empty sum is the zero polynomial and nothing else
+    empty = qseries._pack_sum([])
+    assert qseries._packed_equals(empty, LaurentPolynomial())
+    for poly in (ONE_PLUS_Q, LaurentPolynomial({-2: -1})):
+        assert not qseries._packed_equals(empty, poly)
+    assert min(verdicts.values()) > 50 and len(verdicts) == 4
+
+
+QCHU_SWEEP = [(x, y, m, n) for x in range(9) for y in range(1, 4) for m in range(3)
+              for n in range(5) if x >= m * n]
+
+
+def test_a_passing_check_never_unpacks(monkeypatch):
+    # a pass compares the packed double sum with the closed form; it builds
+    # no polynomial from it, so it reads no coefficient out of the integer
+    rng = random.Random(2902)
+    sweep = rng.sample(QCHU_SWEEP, len(QCHU_SWEEP))
+    words_sweep = [t for t in sweep if sum(t[:2]) + t[2] * t[3] <= 12]
+    for args in sweep:  # warm: every bracket built
+        check_qchu(*args)
+    unpack, calls = qseries._unpack, []
+    monkeypatch.setattr(qseries, "_unpack", lambda *args: calls.append(args) or unpack(*args))
+    for x, y, m, n in sweep:
+        assert check_qchu(x, y, m, n).passed
+        if m == 1:
+            assert check_qchu_m1(x, y, n).passed
+    for args in words_sweep:
+        assert qweighted_bijection_check(*args).passed
+    assert calls == []
+    assert ONE_PLUS_Q * ONE_PLUS_Q and len(calls) == 1  # the counter counts
+
+
+def test_a_mismatch_reports_the_unpacked_sum(monkeypatch):
+    # every summand one power of q lower: each check fails, and its left side
+    # is the double sum of the triples it was given, unpacked once
+    summands, given = qseries._qchu_summands, []
+
+    def lowered(*args):
+        given[:] = [(s - 1, a, b) for s, a, b in summands(*args)]
+        return given
+
+    monkeypatch.setattr(qseries, "_qchu_summands", lowered)
+    for x, y, m, n in random.Random(2903).sample(QCHU_SWEEP, 40):
+        report = check_qchu(x, y, m, n)
+        assert not report.passed and report.lhs == qseries._sum_of_products(given)
+        assert report.lhs == reference_qchu_lhs(x, y, m, n).shift(-1)
+        if m == 1:
+            report = check_qchu_m1(x, y, n)
+            assert not report.passed and report.lhs == qseries._sum_of_products(given)
+        if x + y + m * n <= 12:
+            report = qweighted_bijection_check(x, y, m, n)
+            structured = str(qseries._sum_of_products(given))
+            assert not report.passed and report.counterexample["structured_sum"] == structured
+
+
 def reference_qchu_lhs(x: int, y: int, m: int, n: int) -> LaurentPolynomial:
     """The double sum of :func:`check_qchu`, term by term with the schoolbook
     product."""
@@ -761,6 +860,8 @@ def test_qchu_sums_match_schoolbook():
             for x in (m * n, m * n + 2, m * n + 9):
                 for y in (1, 3):
                     expected = reference_qchu_lhs(x, y, m, n)
+                    summands = qseries._qchu_summands(x, y, m, n, range(n + 1))
+                    assert qseries._sum_of_products(summands) == expected, (x, y, m, n)
                     assert check_qchu(x, y, m, n).lhs == expected, (x, y, m, n)
                     if m == 1:
                         assert check_qchu_m1(x, y, n).lhs == expected, (x, y, n)
