@@ -6,6 +6,12 @@ weight ``p + 1``, preserving total weight and b-count. The factorization maps
 (``decompose`` / ``compose``) split a word at its shortest prefix of weight at
 least ``p``, sorting it into one of two branches.
 
+Each of the three word maps validates its word and finds its split in one
+call: the letters, the shift domain, the length, then the scan for the prefix.
+At ``m = 0`` every letter weighs 1, so the split is the requested weight
+itself and no letter is scanned: both shift maps are the identity there, and
+``decompose`` gives branch A.
+
 The domain checks guarantee the splits that the maps look for; should one be
 missing, a map raises :class:`NoMatchError`, a library bug, not a bad argument.
 """
@@ -16,7 +22,7 @@ from collections import namedtuple
 
 from .errors import InvariantViolationError, NoMatchError, NotInDomainError
 from .identities import _require_shift_domain
-from .words import Grading, Word, _prefix_at_least, _prefix_length, b_count
+from .words import Grading, Word, _prefix_at_least, b_count
 
 
 class BranchA(namedtuple("BranchA", "w")):
@@ -42,16 +48,25 @@ def _no_prefix(w: Word, r: int, m: int) -> NotInDomainError:
     return NotInDomainError(f"word {w!r} has no prefix of weight {r} (m={m})")
 
 
-def _check_shift_params(w: Word, p: int, q: int, g: Grading) -> None:
-    """The domain checks shared by both bijections; the only place where
-    their input word is validated."""
+def _checked_split(w: Word, p: int, q: int, g: Grading, r: int) -> tuple[int, int]:
+    """Length and weight of the shortest prefix of ``w`` with weight at least
+    ``r``, once the domain checks shared by the three maps have passed; the
+    only place where their input word is validated. The checks run in a fixed
+    order: the letters, the shift domain, then the length."""
     n = b_count(w)
-    _require_shift_domain(p, q, g.m, n)
+    m = g.m
+    _require_shift_domain(p, q, m, n)
     if len(w) != p + q:
-        extra = g.m * n  # the letters b add m*n to both weights
+        extra = m * n  # the letters b add m*n to both weights
         raise NotInDomainError(
             f"word {w!r} has weight {len(w) + extra}, expected {p + q + extra}"
         )
+    if m == 0:
+        # every letter weighs 1, and the domain gives p >= 0 and q >= 1, so
+        # the requested r = p or p + 1 lies in 0..p + q = len(w): the scan's
+        # answer, with no letter read
+        return r, r
+    return _prefix_at_least(w, r, m)
 
 
 def _shift(u: Word, v: Word, m: int) -> Word:
@@ -90,9 +105,8 @@ def theorem1_forward(w: Word, p: int, q: int, g: Grading) -> Word:
     letter is ``y``, and ``x`` is empty. At ``m = 0`` every letter weighs 1,
     so the map is the identity on its whole domain.
     """
-    _check_shift_params(w, p, q, g)
+    cut, acc = _checked_split(w, p, q, g, p)
     m = g.m
-    cut, acc = _prefix_at_least(w, p, m)
     if acc != p:
         raise _no_prefix(w, p, m)
     # the domain leaves v a weight of q >= 1; an empty v is left to the walk,
@@ -117,9 +131,8 @@ def theorem1_inverse(w: Word, p: int, q: int, g: Grading) -> Word:
     that letter is ``s``, and ``t`` is empty. At ``m = 0`` the map is the
     identity on its whole domain.
     """
-    _check_shift_params(w, p, q, g)
+    cut, acc = _checked_split(w, p, q, g, p + 1)
     m = g.m
-    cut, acc = _prefix_at_least(w, p + 1, m)
     if acc != p + 1:
         raise _no_prefix(w, p + 1, m)
     # likewise U weighs p + 1 >= 1, and an empty U is left to the walk
@@ -150,15 +163,14 @@ def decompose(w: Word, p: int, q: int, g: Grading) -> Decomposition:
     word whole (branch A); an overshoot by ``j`` in ``[1, m]`` removes the
     final ``b`` of ``u`` and returns the two remaining pieces (branch B).
     """
-    _check_shift_params(w, p, q, g)
-    cut, acc = _prefix_at_least(w, p, g.m)
+    cut, acc = _checked_split(w, p, q, g, p)
     if acc == p:
         return BranchA(w)
     # the letter that crossed the target weighs more than 1, so it is a 'b'
     if w[cut - 1] != "b":
         raise NoMatchError(f"word {w!r} overshoots weight {p} on an 'a' at index {cut - 1}")
     u_prime = w[: cut - 1]
-    return BranchB(j=acc - p, k=u_prime.count("b") + 1, u_prime=u_prime, v=w[cut:])
+    return BranchB(acc - p, u_prime.count("b") + 1, u_prime, w[cut:])
 
 
 def _check_branch_b(d: BranchB, p: int, q: int, g: Grading) -> None:
@@ -189,7 +201,7 @@ def compose(d: Decomposition, p: int, q: int, g: Grading) -> Word:
             raise InvariantViolationError(
                 f"word {d.w!r} is not in the class for p={p}, q={q}, m={g.m}"
             )
-        if _prefix_length(d.w, p, g.m) is None:
+        if _prefix_at_least(d.w, p, g.m)[1] != p:
             raise InvariantViolationError(
                 f"word {d.w!r} has no prefix of weight {p}"
             )

@@ -270,6 +270,16 @@ def cmd_bijection(args) -> _Lines:
         return 0
 
     identities._require_shift_domain(args.p, args.q, g.m, args.n)
+    total = args.p + args.q + g.m * args.n
+    cap = _resolve_cap(args)
+    # the walk spells, scans and maps every word of the class: price it up
+    # front, so that a refused run prints nothing
+    work = words._class_cost(total, args.n, g.m)
+    if work > cap:
+        raise CapExceededError(
+            f"estimated work of {work} exceeds the cap {cap}; "
+            f"narrow the class or raise --cap / ${CAP_ENV_VAR}"
+        )
     # the shift carries a weight-p prefix to a weight-(p + 1) prefix; every
     # word has the empty prefix, of weight 0, so factorize maps the whole class
     source = target = 0
@@ -281,7 +291,7 @@ def cmd_bijection(args) -> _Lines:
     # its prefixes are scanned without validating it again
     count = targets = 0
     reason = None
-    for w in words._words(args.p + args.q + g.m * args.n, args.n, g):
+    for w in words._words(total, args.n, g):
         targets += words._prefix_length(w, target, g.m) is not None
         if words._prefix_length(w, source, g.m) is None:
             continue
@@ -341,6 +351,12 @@ def _add_format_flag(sp) -> None:
                     help="output encoding (default: text)")
 
 
+def _add_cap_flag(sp, scope: str = "") -> None:
+    sp.add_argument("--cap", type=int, default=None,
+                    help=f"work cap in elementary evaluations{scope} "
+                    f"(default {DEFAULT_WORK_CAP}, env ${CAP_ENV_VAR})")
+
+
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose refusals go to stderr alone. argparse
     prints the usage part to ``sys.stdout`` when ``sys.stderr`` is ``None``
@@ -381,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="apply to the whole class and verify bijectivity")
     sp.add_argument("--inverse", action="store_true",
                     help="apply the inverse direction (theorem1 only)")
+    _add_cap_flag(sp, ", --all only")
     _add_format_flag(sp)
     sp.set_defaults(handler=cmd_bijection)
 
@@ -391,9 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(f"--{name}", help="single value or inclusive range LO..HI")
     sp.add_argument("--fail-fast", action="store_true",
                     help="stop at the first failing tuple")
-    sp.add_argument("--cap", type=int, default=None,
-                    help=f"work cap in elementary evaluations "
-                    f"(default {DEFAULT_WORK_CAP}, env ${CAP_ENV_VAR})")
+    _add_cap_flag(sp)
     _add_format_flag(sp)
     sp.set_defaults(handler=cmd_verify)
 

@@ -1,5 +1,7 @@
 import itertools
+import random
 import sys
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -22,7 +24,7 @@ from rothe_lab import (
     theorem1_inverse,
     weight,
 )
-from rothe_lab import bijections
+from rothe_lab import bijections, identities
 from rothe_lab.words import prefix_length_of_weight
 
 
@@ -513,3 +515,78 @@ def test_bijections_validate_each_input_word_once(monkeypatch):
                 assert compose(out, 3, 2, g) == w
                 parts = [out.w] if isinstance(out, BranchA) else [out.u_prime, out.v]
                 assert calls == parts
+
+
+def refusals(apply, w, p, q, m):
+    """``(check, type, message)`` of every check that ``apply(w, p, q,
+    Grading(m))`` fails, in the order the maps run them: the letters, the
+    shift domain, the length, then (shift maps only) the prefix. Worked out
+    with plain string tests; a word that is no string fails only the first."""
+    if not isinstance(w, str):
+        return [("letters", ValueError, f"word {w!r} is not a string")]
+    found = []
+    if set(w) - {"a", "b"}:
+        found.append(("letters", ValueError, f"word {w!r} contains letters other than 'a'/'b'"))
+    n, extra = w.count("b"), m * w.count("b")
+    if not identities.shift_domain(p, q, m, n):
+        found.append(("domain", NotInDomainError,
+                      f"need p >= m*n and q >= 1, got p={p}, q={q}, m={m}, n={n}"))
+    if len(w) != p + q:
+        found.append(("length", NotInDomainError,
+                      f"word {w!r} has weight {len(w) + extra}, expected {p + q + extra}"))
+    r = {theorem1_forward: p, theorem1_inverse: p + 1}.get(apply)
+    if r is not None and cut_of_weight(w, r, m) is None:
+        found.append(("prefix", NotInDomainError, f"word {w!r} has no prefix of weight {r} (m={m})"))
+    return found
+
+
+def test_refusals_keep_their_order():
+    # seeded inputs near the domain's edges, many breaking several checks at
+    # once; each map raises the refusal of the first check that fails
+    rng = random.Random(30)
+    first, several = Counter(), 0
+    for _ in range(4000):
+        m = rng.randrange(3)
+        w = "".join(rng.choice("ab") for _ in range(rng.randrange(9)))
+        kind = rng.randrange(8)
+        if kind == 0:
+            w = rng.choice([None, 7, list(w), w.encode()])
+        elif kind == 1:
+            at = rng.randrange(len(w) + 1)
+            w = w[:at] + rng.choice("cA? ") + w[at:]
+        length = len(w) if isinstance(w, (str, list, bytes)) else 3
+        # p from just below the domain's bound m n up to the whole length
+        low = m * w.count("b") if isinstance(w, str) else 0
+        p = rng.randint(min(low, length) - 1, length)
+        q = length - p + rng.choice((0, 0, 0, -1, 1))
+        for apply in (theorem1_forward, theorem1_inverse, decompose):
+            found = refusals(apply, w, p, q, m)
+            if found:
+                check, *want = found[0]
+                assert outcome(apply, w, p, q, Grading(m)) == tuple(want), (apply, w, p, q, m)
+            else:
+                check = "none"
+                apply(w, p, q, Grading(m))
+            first[check] += 1
+            several += len(found) > 1
+    assert set(first) == {"letters", "domain", "length", "prefix", "none"}
+    assert min(first.values()) > 150 and several > 1000, (first, several)
+
+
+def test_no_prefix_scan_at_m0(monkeypatch):
+    # at m = 0 every letter weighs 1: the three maps split a word at the
+    # requested weight without scanning it, and agree with the scan
+    g = Grading(0)
+    classes = ((12, 6), (11, 3), (7, 7), (4, 0), (1, 0))
+    cases = [(w, p, length - p, g) for length, n in classes
+             for w in enumerate_gamma(length, n, g) for p in range(length)]
+    maps = (theorem1_forward, theorem1_inverse, decompose)
+    scanned = [apply(*case) for apply in maps for case in cases]
+    # both shift maps are the identity, and decompose gives branch A
+    assert scanned == [w for _ in maps[:2] for w, *_ in cases] + [BranchA(w) for w, *_ in cases]
+
+    def no_scan(w, r, m):
+        raise AssertionError(f"scanned {w!r} for weight {r} (m={m})")
+
+    monkeypatch.setattr(bijections, "_prefix_at_least", no_scan)
+    assert [apply(*case) for apply in maps for case in cases] == scanned

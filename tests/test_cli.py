@@ -270,6 +270,27 @@ def test_bijection_detects_broken_map(capsys, monkeypatch):
     }
 
 
+def test_bijection_all_cap_breach_exits_2_before_any_word(capsys, monkeypatch):
+    # C(12, 6) = 924 words of length 12 price at 924 * 12 + 1 = 11,089 units
+    monkeypatch.setenv(cli.CAP_ENV_VAR, "1000")
+    walks = []
+    words_of = words._words
+    monkeypatch.setattr(words, "_words", lambda *args: walks.append(args) or words_of(*args))
+    argv = ("bijection", "theorem1", "--p", "6", "--q", "6", "--m", "0", "--n", "6")
+    code, out, err = run(capsys, *argv, "--all")
+    assert (code, out, walks) == (2, "", [])
+    assert err == ("error: estimated work of 11089 exceeds the cap 1000; "
+                   "narrow the class or raise --cap / $ROTHE_LAB_CAP\n")
+    # the flag wins over the environment, and the price is the bound
+    code, out, _ = run(capsys, *argv, "--all", "--cap", "11088")
+    assert (code, out, walks) == (2, "", [])
+    code, out, _ = run(capsys, *argv, "--all", "--cap", "11089")
+    assert (code, out.splitlines()[-1], len(walks)) == (0, "BIJECTION OK (924 words)", 1)
+    # a single word is not priced
+    code, out, _ = run(capsys, *argv, "--word", "bbbbbbaaaaaa", "--cap", "1")
+    assert (code, out) == (0, "bbbbbbaaaaaa → bbbbbbaaaaaa\n")
+
+
 # a whole-class run at class size C(2n, n); m = 0, so every word of the class
 # has a prefix of every weight and theorem1 maps the whole class
 WHOLE_CLASS_RUNS = {
@@ -673,17 +694,29 @@ def test_bench_selftest_catches_every_wrong_answer():
     assert caught and caught[1] == caught[2] != "0", proc.stdout
 
 
+def assert_traced_run_correct(workload):
+    """A one-second traced benchmark run of ``workload`` reports every
+    operation correct, and none failed."""
+    proc = python(str(Path(__file__).parents[1] / "bench" / "run.py"),
+                  "--workload", workload, "--seconds", "1", "--trace", "1", timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
+    assert result["attempted"] > 0
+
+
 def test_traced_qchu_sweep_runs_correct():
     # the tracer wraps the q-checkers, the bracket recursion and the
     # polynomial class; a change that breaks a wrapped call fails the traced
     # q-checks, and the run reports it here. This sweep builds no polynomial
     # through __init__: test_construction_survives_a_wrapped_init guards that
-    proc = python(str(Path(__file__).parents[1] / "bench" / "run.py"),
-                  "--workload", "qchu-sweep", "--seconds", "1", "--trace", "1", timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
-    assert result["attempted"] > 0
+    assert_traced_run_correct("qchu-sweep")
+
+
+def test_traced_word_bijections_runs_correct():
+    # the tracer wraps the four word maps and the b_count they validate
+    # their words with, which bijections reaches through its own name
+    assert_traced_run_correct("word-bijections")
 
 
 def test_console_entry_point():
