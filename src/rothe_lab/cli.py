@@ -111,6 +111,20 @@ def _resolve_cap(args) -> int:
     return DEFAULT_WORK_CAP
 
 
+def _refuse_class_over_cap(args, p: int, k: int, m: int) -> None:
+    """Refuse, before any output, a walk of the class of weight ``p`` with
+    ``k`` letters ``b`` whose price, :func:`words._class_cost`, exceeds the
+    cap. Pricing raises the class's own refusals, the grading's and then the
+    length cap's, ahead of the comparison."""
+    cap = _resolve_cap(args)
+    work = words._class_cost(p, k, m)
+    if work > cap:
+        raise CapExceededError(
+            f"estimated work of {work} exceeds the cap {cap}; "
+            f"narrow the class or raise --cap / ${CAP_ENV_VAR}"
+        )
+
+
 def _format_report_text(report: VerificationReport) -> str:
     params = " ".join(f"{k}={v}" for k, v in report.params.items())
     head = f"{report.identity} {params}" if params else report.identity
@@ -193,6 +207,7 @@ def cmd_verify(args) -> _Lines:
 
 def cmd_enumerate(args) -> _Lines:
     g = Grading(args.m)
+    _refuse_class_over_cap(args, args.p, args.k, g.m)
     listing = words._words(args.p, args.k, g)
     # the listing spells each word of the class itself, so its prefixes are
     # scanned without validating it again; each has weight p and k letters b
@@ -271,19 +286,15 @@ def cmd_bijection(args) -> _Lines:
 
     identities._require_shift_domain(args.p, args.q, g.m, args.n)
     total = args.p + args.q + g.m * args.n
-    cap = _resolve_cap(args)
     # the walk spells, scans and maps every word of the class: price it up
     # front, so that a refused run prints nothing
-    work = words._class_cost(total, args.n, g.m)
-    if work > cap:
-        raise CapExceededError(
-            f"estimated work of {work} exceeds the cap {cap}; "
-            f"narrow the class or raise --cap / ${CAP_ENV_VAR}"
-        )
+    _refuse_class_over_cap(args, total, args.n, g.m)
     # the shift carries a weight-p prefix to a weight-(p + 1) prefix; every
-    # word has the empty prefix, of weight 0, so factorize maps the whole class
+    # word has the empty prefix, of weight 0, so factorize maps the whole
+    # class to itself and scans no prefix
     source = target = 0
-    if args.kind == "theorem1":
+    scan = args.kind == "theorem1"
+    if scan:
         source, target = (args.p + 1, args.p) if args.inverse else (args.p, args.p + 1)
     # one pass over the class: the round trip is a left inverse, so it also
     # fails on a repeated image, and the inverse refuses, with a ValueError,
@@ -292,9 +303,10 @@ def cmd_bijection(args) -> _Lines:
     count = targets = 0
     reason = None
     for w in words._words(total, args.n, g):
-        targets += words._prefix_length(w, target, g.m) is not None
-        if words._prefix_length(w, source, g.m) is None:
-            continue
+        if scan:
+            targets += words._prefix_length(w, target, g.m) is not None
+            if words._prefix_length(w, source, g.m) is None:
+                continue
         count += 1
         image = apply(w, args.p, args.q, g)
         yield line(w, image, args)
@@ -303,7 +315,7 @@ def cmd_bijection(args) -> _Lines:
                 reason = reason or f"round trip failed for {w}"
         except ValueError:
             reason = reason or f"{w} maps to {image}, outside the target class"
-    if count != targets:
+    if scan and count != targets:
         reason = reason or f"class sizes differ: {count} vs {targets}"
     if args.format == "json":
         record: dict = {"status": "failed" if reason else "ok", "count": count}
@@ -383,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True, help="grading: letter b weighs m+1")
     sp.add_argument("--prefix-weight", type=int, default=None,
                     help="keep only words having a prefix of this weight")
+    _add_cap_flag(sp)
     _add_format_flag(sp)
     sp.set_defaults(handler=cmd_enumerate)
 

@@ -211,8 +211,9 @@ class LaurentPolynomial:
 _ZERO = LaurentPolynomial()
 _ONE = LaurentPolynomial({0: 1})
 
-# slot sizes, in bytes, that ``array`` reads and writes natively, smallest
-# first; a wider slot is converted coefficient by coefficient
+# slot sizes, in bytes, that ``array`` reads and writes natively: 1, 2, 4 and
+# 8, which :func:`_pack_sum`'s size rule assumes. A one-byte run is packed
+# through ``bytes()`` instead, and a wider slot coefficient by coefficient
 _NATIVE_SLOTS = {array(code).itemsize: code for code in "BHIQ"}
 
 
@@ -233,13 +234,18 @@ def _pack(coeffs, size: int, signed: bool) -> int:
     """``sum_i coeffs[i] * 2**(8 * size * i)`` for coefficients below
     ``2**(8 * size)`` in magnitude. With ``signed`` the run may hold
     negative coefficients: it is packed as its positive part minus its
-    negative part, so that every slot written is nonnegative."""
+    negative part, so that every slot written is nonnegative. One-byte slots
+    go through ``bytes()``, which converts a run of small ints on a fast
+    path; other native sizes through ``array``."""
     if len(coeffs) == 1:
         return coeffs[0]
     if signed:
         return _pack([max(c, 0) for c in coeffs], size, False) - _pack(
             [max(-c, 0) for c in coeffs], size, False
         )
+    if size == 1:
+        # a run of single bytes has no native order
+        return int.from_bytes(bytes(coeffs), "little")
     code = _NATIVE_SLOTS.get(size)
     if code:
         return int.from_bytes(array(code, coeffs), sys.byteorder)
@@ -267,8 +273,11 @@ def _pack_sum(summands):
     coefficient of ``left * right`` exceeds ``max|left| * max|right| *
     min(len)`` in magnitude, so none of the sum exceeds the total of that
     bound over the triples. When a factor has a negative coefficient, one more
-    bit holds the sign. Each factor's height comes from :func:`_height_of`, so
-    a bracket that recurs across calls is scanned once. See D. Harvey,
+    bit holds the sign. Those bits round up to the smallest native slot of
+    1, 2, 4 or 8 bytes that holds them, or to whole bytes beyond. Each factor's
+    height comes from :func:`_height_of`, so a bracket that recurs across
+    calls is scanned once. Unsigned runs of a native size are packed inline,
+    one-byte runs through ``bytes()``. See D. Harvey,
     "Faster polynomial multiplication via multipoint Kronecker substitution",
     J. Symbolic Comput. 44 (2009).
 
@@ -300,15 +309,23 @@ def _pack_sum(summands):
                 if stop > end:
                     end = stop
             triples.append((low, a, b))
-    width = bound.bit_length() + signed
-    size = next((s for s in _NATIVE_SLOTS if 8 * s >= width), (width + 7) // 8)
+    # the width's byte count, at least 1, rounded up to a native size of 1,
+    # 2, 4 or 8 bytes; above 8 bytes the byte count itself
+    size = (bound.bit_length() + signed + 7) >> 3
+    if size < 3:
+        size = size or 1
+    elif size < 9:
+        size = 4 if size < 5 else 8
     slot = 8 * size
-    # unsigned runs of a native slot size are packed here, without a call
+    # unsigned runs of a native slot size are packed here, without a call;
+    # a run of single bytes has no native order
     code = None if signed else _NATIVE_SLOTS.get(size)
     byteorder = sys.byteorder
     total = 0
     for low, a, b in triples:
-        if code:
+        if code == "B":
+            product = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        elif code:
             product = int.from_bytes(array(code, a), byteorder) * int.from_bytes(
                 array(code, b), byteorder
             )

@@ -291,6 +291,57 @@ def test_bijection_all_cap_breach_exits_2_before_any_word(capsys, monkeypatch):
     assert (code, out) == (0, "bbbbbbaaaaaa → bbbbbbaaaaaa\n")
 
 
+def test_factorize_all_scans_no_prefix_outside_the_map(capsys, monkeypatch):
+    # factorize maps every word, since every word has the empty prefix of
+    # weight 0: its walk counts the C(9, 3) = 84 words of the class without
+    # a scan, where theorem1 scans each word for its source and target
+    scans = []
+    prefix_length = words._prefix_length
+    monkeypatch.setattr(cli.words, "_prefix_length",
+                        lambda *args: scans.append(args) or prefix_length(*args))
+    params = ("--p", "6", "--q", "3", "--m", "2", "--n", "3", "--all")
+    code, out, _ = run(capsys, "bijection", "factorize", *params)
+    assert (code, out.splitlines()[-1], scans) == (0, "BIJECTION OK (84 words)", [])
+    code, out, _ = run(capsys, "bijection", "factorize", *params, "--format", "json")
+    assert (code, json_lines(out)[-1], scans) == (0, {"status": "ok", "count": 84}, [])
+    code, _, _ = run(capsys, "bijection", "theorem1", *params)
+    assert code == 0 and len(scans) == 2 * 84
+
+
+def test_enumerate_cap_breach_exits_2_before_any_word(capsys, monkeypatch):
+    # a refused run spells no word: the walk raises if it is started
+    def no_walk(*args):
+        raise AssertionError(f"walked the class {args}")
+
+    words_of = words._words
+    monkeypatch.setattr(words, "_words", no_walk)
+    code, out, err = run(capsys, "enumerate", "--p", "26", "--k", "13", "--m", "0",
+                         "--cap", "1000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: estimated work of 270415601 exceeds the cap 1000000; "
+                   "narrow the class or raise --cap / $ROTHE_LAB_CAP\n")
+    # the default cap refuses C(26, 13) words too, and the environment sets it;
+    # C(12, 6) = 924 words of length 12 price at 924 * 12 + 1 = 11,089 units
+    code, out, _ = run(capsys, "enumerate", "--p", "26", "--k", "13", "--m", "0")
+    assert (code, out) == (2, "")
+    monkeypatch.setenv(cli.CAP_ENV_VAR, "1000")
+    argv = ("enumerate", "--p", "12", "--k", "6", "--m", "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "estimated work of 11089 exceeds the cap 1000;" in err
+    # the flag wins over the environment, and the price is the bound
+    code, out, _ = run(capsys, *argv, "--cap", "11088")
+    assert (code, out) == (2, "")
+    monkeypatch.setattr(words, "_words", words_of)
+    code, out, _ = run(capsys, *argv, "--cap", "11089")
+    assert (code, out.splitlines()[-1]) == (0, "count 924, predicted C(12,6) = 924")
+    # the grading and length refusals keep their messages, ahead of the price
+    code, _, err = run(capsys, "enumerate", "--p", "3", "--k", "1", "--m=-1", "--cap", "1")
+    assert (code, err) == (2, "error: grading parameter m must be >= 0, got -1\n")
+    code, _, err = run(capsys, "enumerate", "--p", "27", "--k", "0", "--m", "0", "--cap", "1")
+    assert (code, err) == (2, "error: enumerating words of length 27 exceeds the cap of 26\n")
+
+
 # a whole-class run at class size C(2n, n); m = 0, so every word of the class
 # has a prefix of every weight and theorem1 maps the whole class
 WHOLE_CLASS_RUNS = {

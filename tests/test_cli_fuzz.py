@@ -4,10 +4,11 @@
 values near the domain edges, ranges, rationals in integer slots, missing,
 stray and unknown flags, and, for every variable, integers of thousands of
 digits. Every drawn ``verify`` run passes a small ``--cap``, so an accepted
-run is cheap; three explicit q-Chu runs with a huge argument keep the default
-cap. Each argv runs in text and in json. The contract: exit 0 or 2, never an exception or a
-traceback, every json line parses, both formats agree on the exit code and
-on the summary counts, and a flag of another identity exits 2.
+run is cheap, and half the ``enumerate`` runs pass one, positive or not;
+three explicit q-Chu runs with a huge argument keep the default cap. Each
+argv runs in text and in json. The contract: exit 0 or 2, never an exception
+or a traceback, every json line parses, both formats agree on the exit code
+and on the summary counts, and a flag of another identity exits 2.
 """
 
 import contextlib
@@ -91,6 +92,9 @@ def other_argv(draw):
                 f"--m={draw(st.integers(-1, 3))}"]
         if draw(st.booleans()):
             argv.append(f"--prefix-weight={draw(st.integers(-1, 6))}")
+        if draw(st.booleans()):
+            # at most 10 letters: a class of up to 252 words, 2,521 units
+            argv.append(f"--cap={draw(st.sampled_from((1, 30, 500, 10**4, 0, -3)))}")
     elif command == "bijection":
         m, n, q = draw(near_zero.filter(lambda v: v < 3)), draw(near_zero), draw(near_zero)
         p = m * n + draw(st.integers(-1, 2))

@@ -895,6 +895,101 @@ def test_a_recurring_factor_is_scanned_once(monkeypatch):
     assert max(scans.values()) == 1
 
 
+# Each packing path against slot-by-slot references
+
+
+def slot_sum(coeffs, size: int) -> int:
+    """``sum_i coeffs[i] * 2**(8 * size * i)``, one shifted slot at a time."""
+    return sum(c << (8 * size * i) for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 9])
+@pytest.mark.parametrize("signed", [False, True])
+def test_pack_matches_the_slot_sum(size, signed):
+    # runs of 1 to 30 coefficients, as tuples and as lists, drawn from 0, 1,
+    # the slot's largest value and values in between, negated at random
+    # when signed: the native, the one-byte and the byte-by-byte paths
+    rng = random.Random(3101 + 2 * size + signed)
+    top = (1 << (8 * size)) - 1
+    for _ in range(300):
+        run = [rng.choice((0, 1, top, rng.randint(0, top), rng.randint(0, 255)))
+               for _ in range(rng.randint(1, 30))]
+        if signed:
+            run = [rng.choice((1, -1)) * c for c in run]
+        for coeffs in (run, tuple(run)):
+            assert qseries._pack(coeffs, size, signed) == slot_sum(coeffs, size), coeffs
+
+
+def test_pack_sum_matches_schoolbook_at_one_and_two_byte_slots():
+    # sums of small factors, whose bounds pack them at one-byte or two-byte
+    # slots, unsigned and signed: unpacked, and compared packed, with the
+    # schoolbook sum
+    rng = random.Random(3102)
+    seen = Counter()
+    for signed in (False, True) * 200:
+        triples = []
+        for _ in range(rng.randint(1, 4)):
+            factors = []
+            for _ in range(2):
+                top, offset = rng.choice((1, 2, 3, 15)), rng.randint(-4, 4)
+                factors.append(LaurentPolynomial(
+                    {e: rng.randint(-top if signed else 0, top)
+                     for e in range(offset, offset + rng.randint(1, 12))}))
+            triples.append((rng.randint(-5, 5), *factors))
+        packed = qseries._pack_sum(triples)
+        expected = schoolbook_sum(triples)
+        assert qseries._unpack_sum(packed) == expected, triples
+        assert qseries._packed_equals(packed, expected), triples
+        seen[packed[3], packed[4]] += 1
+    assert set(seen) == {(1, False), (2, False), (1, True), (2, True)}, seen
+    assert min(seen.values()) > 20, seen
+
+
+def test_slot_size_is_the_smallest_native_size_that_holds_the_width():
+    # width 0 is the empty sum; width w >= 1 is one product whose bound has
+    # w bits, or w - 1 bits and a sign bit. The slot is the smallest native
+    # size of at least w bits, and beyond 8 bytes the bytes that w needs
+    native = sorted(qseries._NATIVE_SLOTS)
+    assert native == [1, 2, 4, 8]
+    one = LaurentPolynomial({0: 1})
+    for width in range(81):
+        expected = next((s for s in native if 8 * s >= width), (width + 7) // 8)
+        sums = [[]] if width == 0 else [[(0, LaurentPolynomial({0: 1 << (width - 1)}), one)]]
+        if width >= 2:
+            sums.append([(0, LaurentPolynomial({0: -(1 << (width - 2))}), one)])
+        for summands in sums:
+            assert qseries._pack_sum(summands)[3] == expected, (width, summands)
+
+
+def test_one_byte_slots_never_touch_array(monkeypatch):
+    # the checks whose double sum packs at one-byte slots give the same
+    # reports with array stubbed out: both factors of every product, and
+    # the closed form they are compared with, are packed through bytes()
+    rng = random.Random(3103)
+    sweep = [(x, y, m, n) for x in range(13) for y in range(1, 6) for m in range(3)
+             for n in range(6) if x >= m * n]
+    rng.shuffle(sweep)
+
+    def slot_size(x, y, m, n):
+        return qseries._pack_sum(qseries._qchu_summands(x, y, m, n, range(n + 1)))[3]
+
+    one_byte = [t for t in sweep if slot_size(*t) == 1]
+    wider = [t for t in sweep if slot_size(*t) > 1]
+    calls = [(check_qchu, t) for t in one_byte]
+    calls += [(check_qchu_m1, (x, y, n)) for x, y, m, n in one_byte if m == 1]
+    calls += [(qweighted_bijection_check, t) for t in one_byte if sum(t[:2]) + t[2] * t[3] <= 12]
+    expected = [check(*args) for check, args in calls]
+    assert len(one_byte) > 300 and wider and all(report.passed for report in expected)
+
+    def no_array(*args):
+        raise AssertionError(f"array{args!r}")
+
+    monkeypatch.setattr(qseries, "array", no_array)
+    assert [check(*args) for check, args in calls] == expected
+    with pytest.raises(AssertionError, match="array"):  # the stub bites wider slots
+        check_qchu(*wider[0])
+
+
 def test_check_qchu_large_operands():
     rep = check_qchu(200, 200, 1, 6)
     assert rep.passed and rep.lhs == reference_qchu_lhs(200, 200, 1, 6)
