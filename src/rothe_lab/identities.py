@@ -70,7 +70,8 @@ class VerificationReport(
 
     @classmethod
     def from_sides(cls, identity, params, lhs, rhs):
-        if lhs == rhs:
+        # a passing q-check hands in its closed form as both sides
+        if lhs is rhs or lhs == rhs:
             return cls(identity, dict(params), lhs, rhs, "pass")
         return cls(identity, dict(params), lhs, rhs, "fail", dict(params))
 
