@@ -33,14 +33,12 @@ class LaurentPolynomial:
     zero is ``(0, ())`` and equality is term-by-term on the canonical form.
     Memory grows with the exponent span, not the number of terms.
     Arithmetic accepts plain ints as constants. ``str`` formats once and
-    keeps its text in ``_text``. The product kernel scans the coefficients
-    once and keeps their height in ``_height``, and packs them once per
-    native slot size of 1, 2, 4 or 8 bytes and keeps each packed integer in
-    ``_packed``, a dict keyed by that size: at most four per polynomial.
-    Equality, hashing and copies ignore all three.
+    keeps its text in ``_text``; the product kernel scans the coefficients
+    once and keeps their height in ``_height``. Equality, hashing and copies
+    ignore both.
     """
 
-    __slots__ = ("_offset", "_coeffs", "_text", "_height", "_packed")
+    __slots__ = ("_offset", "_coeffs", "_text", "_height")
 
     def __init__(
         self,
@@ -214,9 +212,8 @@ _ZERO = LaurentPolynomial()
 _ONE = LaurentPolynomial({0: 1})
 
 # slot sizes, in bytes, that ``array`` reads and writes natively: 1, 2, 4 and
-# 8, which :func:`_pack_sum`'s size rule and :func:`_packed_run`'s keeping
-# assume. A one-byte run is packed through ``bytes()`` instead, and a wider
-# slot coefficient by coefficient
+# 8, which :func:`_pack_sum`'s size rule assumes. A one-byte run is packed
+# through ``bytes()`` instead, and a wider slot coefficient by coefficient
 _NATIVE_SLOTS = {array(code).itemsize: code for code in "BHIQ"}
 
 
@@ -256,26 +253,6 @@ def _pack(coeffs, size: int, signed: bool) -> int:
     return int.from_bytes(raw, sys.byteorder)
 
 
-def _packed_run(poly: LaurentPolynomial, size: int) -> int:
-    """``poly``'s coefficients packed by :func:`_pack` at ``size``-byte
-    slots, signed when one of them is negative. The packing at a native size
-    is made on first use and kept in the polynomial's ``_packed``, so that a
-    recurring factor is packed once per size; a wider one is made on every
-    call. The size alone is the key: a run with no negative coefficient
-    packs to the same integer signed or not."""
-    if size > 8:
-        return _pack(poly._coeffs, size, _height_of(poly)[1])
-    try:
-        kept = poly._packed
-    except AttributeError:
-        kept = {}
-        object.__setattr__(poly, "_packed", kept)
-    run = kept.get(size)
-    if run is None:
-        run = kept[size] = _pack(poly._coeffs, size, _height_of(poly)[1])
-    return run
-
-
 def _unpack(value: int, size: int, count: int) -> list[int]:
     """The ``count`` slots of ``size`` bytes of a nonnegative ``value``,
     lowest first."""
@@ -298,10 +275,9 @@ def _pack_sum(summands):
     bound over the triples. When a factor has a negative coefficient, one more
     bit holds the sign. Those bits round up to the smallest native slot of
     1, 2, 4 or 8 bytes that holds them, or to whole bytes beyond. Each factor's
-    height comes from :func:`_height_of` and its packed run from
-    :func:`_packed_run`, so a bracket that recurs across calls is scanned
-    once and packed once per native slot size, and its products multiply
-    kept integers. See D. Harvey,
+    height comes from :func:`_height_of`, so a bracket that recurs across
+    calls is scanned once. Unsigned runs of a native size are packed inline,
+    one-byte runs through ``bytes()``. See D. Harvey,
     "Faster polynomial multiplication via multipoint Kronecker substitution",
     J. Symbolic Comput. 44 (2009).
 
@@ -332,7 +308,7 @@ def _pack_sum(summands):
                     lowest = low
                 if stop > end:
                     end = stop
-            triples.append((low, left, right))
+            triples.append((low, a, b))
     # the width's byte count, at least 1, rounded up to a native size of 1,
     # 2, 4 or 8 bytes; above 8 bytes the byte count itself
     size = (bound.bit_length() + signed + 7) >> 3
@@ -341,9 +317,20 @@ def _pack_sum(summands):
     elif size < 9:
         size = 4 if size < 5 else 8
     slot = 8 * size
+    # unsigned runs of a native slot size are packed here, without a call;
+    # a run of single bytes has no native order
+    code = None if signed else _NATIVE_SLOTS.get(size)
+    byteorder = sys.byteorder
     total = 0
-    for low, left, right in triples:
-        product = _packed_run(left, size) * _packed_run(right, size)
+    for low, a, b in triples:
+        if code == "B":
+            product = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        elif code:
+            product = int.from_bytes(array(code, a), byteorder) * int.from_bytes(
+                array(code, b), byteorder
+            )
+        else:
+            product = _pack(a, size, signed) * _pack(b, size, signed)
         total += product << (slot * (low - lowest))
     return total, lowest, end - lowest, size, signed, bound
 
@@ -381,7 +368,7 @@ def _packed_equals(packed, poly: LaurentPolynomial) -> bool:
     start = poly._offset - lowest
     if height > bound or (negative and not signed) or start < 0 or start + len(coeffs) > count:
         return False
-    return _packed_run(poly, size) << (8 * size * start) == total
+    return _pack(coeffs, size, signed) << (8 * size * start) == total
 
 
 def _sum_of_products(summands) -> LaurentPolynomial:

@@ -46,29 +46,21 @@ TEST_QSERIES = "tests/test_qseries.py"
 
 MUTANTS = (
     Mutant(
+        "pack-sum-byte-order", QSERIES,
+        'product = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")',
+        'product = int.from_bytes(bytes(a), "big") * int.from_bytes(bytes(b), "big")',
+        (f"{TEST_QSERIES}::test_pack_sum_matches_schoolbook_at_one_and_two_byte_slots",
+         f"{TEST_QSERIES}::test_lp_arithmetic_and_canonical_form"),
+        "the kernel packs one-byte runs lowest coefficient first; the q-Chu "
+        "brackets are palindromes, so the checks alone cannot tell",
+    ),
+    Mutant(
         "pack-byte-order", QSERIES,
         'return int.from_bytes(bytes(coeffs), "little")',
         'return int.from_bytes(bytes(coeffs), "big")',
         (f"{TEST_QSERIES}::test_pack_matches_the_slot_sum",
-         f"{TEST_QSERIES}::test_packed_comparison_matches_unpacked_equality",
-         f"{TEST_QSERIES}::test_pack_sum_matches_schoolbook_at_one_and_two_byte_slots"),
-        "one-byte runs are packed lowest coefficient first; the q-Chu brackets "
-        "are palindromes, so the checks alone cannot tell",
-    ),
-    Mutant(
-        "packing-ignores-slot-size", QSERIES,
-        "    run = kept.get(size)\n",
-        "    run = next(iter(kept.values()), None)\n",
-        (f"{TEST_QSERIES}::test_a_kept_packing_is_reused_only_at_its_slot_size",),
-        "a polynomial's kept packings are keyed by their slot size",
-    ),
-    Mutant(
-        "wide-packings-kept", QSERIES,
-        "    if size > 8:\n        return _pack(poly._coeffs, size, _height_of(poly)[1])\n",
-        "",
-        (f"{TEST_QSERIES}::test_kept_packings_are_native_and_at_most_four",),
-        "a polynomial keeps at most its four native packings; wider slots "
-        "are packed per call",
+         f"{TEST_QSERIES}::test_packed_comparison_matches_unpacked_equality"),
+        "_pack reads a one-byte run lowest coefficient first",
     ),
     Mutant(
         "slot-size-off-by-one", QSERIES,
@@ -130,6 +122,22 @@ MUTANTS = (
         "",
         ("tests/test_cli.py::test_enumerate_cap_breach_exits_2_before_any_word",),
         "enumerate refuses a class over the work cap before its first word",
+    ),
+    Mutant(
+        "pass-compares-terms", "src/rothe_lab/identities.py",
+        "        if lhs is rhs or lhs == rhs:\n",
+        "        if lhs == rhs:\n",
+        (f"{TEST_QSERIES}::test_a_passing_check_compares_no_terms",),
+        "a passing q-check hands in one object as both sides, and it is "
+        "not compared term by term",
+    ),
+    Mutant(
+        "zero-bracket-by-truth", QSERIES,
+        "            if left is _ZERO:\n",
+        "            if not left:\n",
+        (f"{TEST_QSERIES}::test_a_passing_check_compares_no_terms",),
+        "every zero bracket is the shared _ZERO, found by identity rather than "
+        "by a call to __bool__",
     ),
 )
 
