@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 # rothe_lab`` loads no submodule and a run pays only for the modules it uses
 _EXPORTS = {
     "bijections": (
-        "BranchA", "BranchB", "Decomposition", "compose", "decompose",
-        "factorize_at_least", "theorem1_forward", "theorem1_inverse",
+        "BranchA", "BranchB", "Decomposition", "compose", "decompose", "theorem1_forward",
+        "theorem1_inverse",
     ),
     "errors": (
         "CapExceededError", "InvariantViolationError", "NoMatchError", "NotInDomainError",
@@ -26,8 +26,8 @@ _EXPORTS = {
         "qweighted_bijection_check",
     ),
     "words": (
-        "MAX_WORD_LENGTH", "Grading", "Word", "b_count", "enumerate_gamma",
-        "enumerate_gamma_prefix", "has_prefix_of_weight", "inversions", "prefix_weights", "weight",
+        "MAX_WORD_LENGTH", "Grading", "Word", "b_count", "enumerate_gamma", "inversions",
+        "prefix_weights", "weight",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

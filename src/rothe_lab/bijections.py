@@ -141,21 +141,6 @@ def theorem1_inverse(w: Word, p: int, q: int, g: Grading) -> Word:
     return _shift(w[cut:][::-1], w[:cut][::-1], m)[::-1]
 
 
-def factorize_at_least(w: Word, p: int, g: Grading) -> tuple[Word, Word]:
-    """Split ``w`` at its shortest prefix of weight at least ``p``.
-
-    Requires ``0 <= p <= weight(w)``. The overshoot ``weight(u) - p`` lies in
-    ``[0, m]``, and when it is positive the last letter of ``u`` is ``b``.
-    """
-    if p < 0:
-        raise NotInDomainError(f"target weight must be >= 0, got {p}")
-    b_count(w)  # validates every letter, not only those the scan reads
-    cut, acc = _prefix_at_least(w, p, g.m)
-    if acc < p:
-        raise NotInDomainError(f"word {w!r} has weight {acc} < {p}")
-    return w[:cut], w[cut:]
-
-
 def decompose(w: Word, p: int, q: int, g: Grading) -> Decomposition:
     """Sort ``w`` into :class:`BranchA` or :class:`BranchB` by factorization.
 

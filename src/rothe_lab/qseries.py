@@ -102,12 +102,6 @@ class LaurentPolynomial:
         i = exponent - self._offset
         return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
-    def min_exponent(self) -> int | None:
-        return self._offset if self._coeffs else None
-
-    def max_exponent(self) -> int | None:
-        return self._offset + len(self._coeffs) - 1 if self._coeffs else None
-
     def value_at_one(self) -> int:
         """The integer obtained by setting ``q = 1``."""
         return sum(self._coeffs)

@@ -92,11 +92,6 @@ def prefix_length_of_weight(w: Word, r: int, g: Grading) -> int | None:
     return _prefix_length(w, r, g.m)
 
 
-def has_prefix_of_weight(w: Word, r: int, g: Grading) -> bool:
-    """True iff some prefix of ``w`` (the empty one included) has weight ``r``."""
-    return prefix_length_of_weight(w, r, g) is not None
-
-
 def _gamma_length(p: int, k: int, m: int) -> int | None:
     """Length ``p - m k`` of the words of weight ``p`` with ``k`` letters ``b``;
     ``None`` when the class is empty: ``k < 0`` or ``p - (m + 1) k < 0``."""
@@ -155,11 +150,6 @@ def enumerate_gamma(p: int, k: int, g: Grading) -> list[Word]:
     :data:`MAX_WORD_LENGTH`.
     """
     return list(_words(p, k, g))
-
-
-def enumerate_gamma_prefix(p: int, k: int, r: int, g: Grading) -> list[Word]:
-    """The part of ``enumerate_gamma(p, k, g)`` having a prefix of weight ``r``."""
-    return [w for w in _words(p, k, g) if _prefix_length(w, r, g.m) is not None]
 
 
 def inversions(w: Word) -> int:

@@ -139,6 +139,42 @@ MUTANTS = (
         "every zero bracket is the shared _ZERO, found by identity rather than "
         "by a call to __bool__",
     ),
+    Mutant(
+        "block-writer-unsplit", "src/rothe_lab/cli.py",
+        "if size >= io.DEFAULT_BUFFER_SIZE or perf_counter_ns()",
+        "if perf_counter_ns()",
+        ("tests/test_cli.py::test_output_is_written_in_blocks_of_8_kib",),
+        "the writer puts a block on stdout once it holds 8 KiB, whatever the clock",
+    ),
+    Mutant(
+        "text-not-kept", QSERIES,
+        '            object.__setattr__(self, "_text", text)\n',
+        "",
+        ("tests/test_cli.py::test_verify_formats_each_closed_form_once",),
+        "a polynomial formats once and keeps its text",
+    ),
+    Mutant(
+        "constructor-in-new", QSERIES,
+        "    def __init__(\n        self,\n",
+        "    def __new__(cls, terms=None):\n"
+        "        self = object.__new__(cls)\n"
+        "        cls._build(self, terms)\n"
+        "        return self\n\n"
+        "    def _build(\n        self,\n",
+        (f"{TEST_QSERIES}::test_construction_survives_a_wrapped_init",),
+        "construction runs in __init__, so a tracer that wraps __init__ in a "
+        "pass-through of its arguments still builds polynomials",
+    ),
+    Mutant(
+        "prefix-scan-late", "src/rothe_lab/words.py",
+        "        if acc >= r:\n",
+        "        if acc > r:\n",
+        ("tests/test_bijections.py::test_prefix_scan_matches_reference",
+         "tests/test_bijections.py::test_factorize_at_least_properties",
+         "tests/test_words.py::test_has_prefix_of_weight_examples"),
+        "the prefix scan stops at the first prefix that reaches its weight, "
+        "an exact hit included",
+    ),
 )
 
 

@@ -24,7 +24,6 @@ from rothe_lab import (
     gaussian_binomial,
     gen_binomial,
     grid_prove,
-    has_prefix_of_weight,
     qweighted_bijection_check,
     theorem1_forward,
     theorem1_inverse,
@@ -32,6 +31,7 @@ from rothe_lab import (
 )
 from rothe_lab.bijections import BranchA
 from rothe_lab.qseries import LaurentPolynomial, qchu_m1_term, qchu_term
+from rothe_lab.words import prefix_length_of_weight
 
 
 def comb0(n: int, k: int) -> int:
@@ -83,8 +83,8 @@ def test_criterion_2_shift_bijection_roundtrip():
     for m, n, p, q in shift_ranges():
         g = Grading(m)
         everything = enumerate_gamma(p + q + m * n, n, g)
-        domain = [w for w in everything if has_prefix_of_weight(w, p, g)]
-        codomain = {w for w in everything if has_prefix_of_weight(w, p + 1, g)}
+        domain = [w for w in everything if prefix_length_of_weight(w, p, g) is not None]
+        codomain = {w for w in everything if prefix_length_of_weight(w, p + 1, g) is not None}
         tuples += 1
         words_seen += len(domain) + len(codomain)
         if len(domain) != len(codomain):
@@ -129,7 +129,7 @@ def test_criterion_3_factorization_bijection():
             seen.add(d)
             if isinstance(d, BranchA):
                 branch_a += 1
-                if not has_prefix_of_weight(d.w, p, g):
+                if prefix_length_of_weight(d.w, p, g) is None:
                     failures.append(("branchA-membership", m, n, p, q, w))
             else:
                 key = (d.j, d.k)

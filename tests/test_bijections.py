@@ -17,15 +17,13 @@ from rothe_lab import (
     compose,
     decompose,
     enumerate_gamma,
-    factorize_at_least,
-    has_prefix_of_weight,
     prefix_weights,
     theorem1_forward,
     theorem1_inverse,
     weight,
 )
 from rothe_lab import bijections, identities
-from rothe_lab.words import prefix_length_of_weight
+from rothe_lab.words import _prefix_at_least, prefix_length_of_weight
 
 
 def all_words(max_len):
@@ -237,8 +235,9 @@ def test_theorem1_roundtrip_invariant_ranges():
                     if p + q > 18:
                         continue
                     everything = enumerate_gamma(total, n, g)
-                    domain = [w for w in everything if has_prefix_of_weight(w, p, g)]
-                    codomain = {w for w in everything if has_prefix_of_weight(w, p + 1, g)}
+                    domain = [w for w in everything if prefix_length_of_weight(w, p, g) is not None]
+                    codomain = {w for w in everything
+                                if prefix_length_of_weight(w, p + 1, g) is not None}
                     images = set()
                     for w in domain:
                         out = theorem1_forward(w, p, q, g)
@@ -305,19 +304,22 @@ def trace_budget(call, budget):
         sys.settrace(previous)
 
 
+HUGE = Grading(10**18)
+
+
 @pytest.mark.parametrize("apply, args, want", [
-    (factorize_at_least, ("ab", 2), ("ab", "")),
-    (factorize_at_least, ("ba", 10**18), ("b", "a")),
-    (decompose, ("aaa", 1, 2), BranchA("aaa")),
-    (has_prefix_of_weight, ("ab", 2), False),
-    (has_prefix_of_weight, ("ba", 10**18 + 2), True),
-    (theorem1_forward, ("aaa", 1, 2), "aaa"),
-    (theorem1_inverse, ("aaa", 1, 2), "aaa"),
+    (_prefix_at_least, ("ab", 2, HUGE.m), (2, 10**18 + 2)),
+    (_prefix_at_least, ("ba", 10**18, HUGE.m), (1, 10**18 + 1)),
+    (decompose, ("aaa", 1, 2, HUGE), BranchA("aaa")),
+    (prefix_length_of_weight, ("ab", 2, HUGE), None),
+    (prefix_length_of_weight, ("ba", 10**18 + 2, HUGE), 2),
+    (theorem1_forward, ("aaa", 1, 2, HUGE), "aaa"),
+    (theorem1_inverse, ("aaa", 1, 2, HUGE), "aaa"),
 ])
 def test_work_does_not_grow_with_m(apply, args, want):
     # a b weighs 10**18 + 1 here; a scan that stepped or spelled out its
     # weight letter by letter would never return
-    assert trace_budget(lambda: apply(*args, Grading(10**18)), 500) == want
+    assert trace_budget(lambda: apply(*args), 500) == want
 
 
 def test_shift_walk_matches_reference():
@@ -358,22 +360,24 @@ def test_prefix_scan_matches_reference():
         for w in all_words(10):
             for p in range(weight(w, g) + 2):
                 expected = reference_factorize(w, p, g)
+                cut, acc = _prefix_at_least(w, p, m)
                 if expected is None:
-                    with pytest.raises(NotInDomainError):
-                        factorize_at_least(w, p, g)
+                    # no prefix reaches p: the scan stops at the whole word
+                    assert (cut, acc) == (len(w), weight(w, g))
                     assert prefix_length_of_weight(w, p, g) is None
                     continue
-                assert factorize_at_least(w, p, g) == expected
+                assert (w[:cut], w[cut:]) == expected
                 u = expected[0]
+                assert acc == weight(u, g)
                 exact = len(u) if weight(u, g) == p else None
                 assert prefix_length_of_weight(w, p, g) == exact
 
 
 def test_factorize_at_least_examples():
-    g = Grading(1)
-    assert factorize_at_least("ba", 1, g) == ("b", "a")
-    assert factorize_at_least("ab", 1, g) == ("a", "b")
-    assert factorize_at_least("abba", 0, g) == ("", "abba")
+    # the shortest prefix of weight at least p: its length and its weight
+    assert _prefix_at_least("ba", 1, 1) == (1, 2)
+    assert _prefix_at_least("ab", 1, 1) == (1, 1)
+    assert _prefix_at_least("abba", 0, 1) == (0, 0)
 
 
 def test_factorize_at_least_properties():
@@ -381,27 +385,16 @@ def test_factorize_at_least_properties():
         g = Grading(m)
         for w in all_words(6):
             for p in range(weight(w, g) + 1):
-                u, v = factorize_at_least(w, p, g)
-                assert u + v == w
-                overshoot = weight(u, g) - p
+                cut, acc = _prefix_at_least(w, p, m)
+                u = w[:cut]
+                assert acc == weight(u, g)
+                overshoot = acc - p
                 assert 0 <= overshoot <= m
                 if overshoot > 0:
                     assert u.endswith("b")
                 # u is the shortest such prefix
                 if u:
                     assert weight(u[:-1], g) < p
-
-
-def test_factorize_at_least_errors():
-    with pytest.raises(NotInDomainError):
-        factorize_at_least("ab", 5, Grading(1))
-    with pytest.raises(NotInDomainError):
-        factorize_at_least("ab", -1, Grading(1))
-    # the whole word is validated, not only the letters the scan reads
-    with pytest.raises(ValueError):
-        factorize_at_least("axyz", 1, Grading(1))
-    with pytest.raises(ValueError):
-        factorize_at_least("xa", 1, Grading(1))
 
 
 def test_decompose_examples():
@@ -462,7 +455,7 @@ def test_decompose_compose_roundtrip_invariant_ranges():
                             assert weight(d.v, g) == q + m * n - d.j
                             assert b_count(d.v) == n - d.k
                         else:
-                            assert has_prefix_of_weight(d.w, p, g)
+                            assert prefix_length_of_weight(d.w, p, g) is not None
 
 
 def test_bijections_preserve_weight_and_bcount():
@@ -470,7 +463,7 @@ def test_bijections_preserve_weight_and_bcount():
     p, q, n = 4, 3, 2
     total = p + q + g.m * n
     for w in enumerate_gamma(total, n, g):
-        if has_prefix_of_weight(w, p, g):
+        if prefix_length_of_weight(w, p, g) is not None:
             out = theorem1_forward(w, p, q, g)
             assert weight(out, g) == weight(w, g)
             assert b_count(out) == b_count(w)

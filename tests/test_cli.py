@@ -1316,13 +1316,16 @@ def qchu_sweep_text():
 
 def test_output_is_written_in_blocks_of_8_kib(monkeypatch):
     # the clock held still: a block is written once it holds 8 KiB, and the
-    # rest when the sweep ends
+    # rest when the sweep ends; so each write, the last one included, holds
+    # under 8 KiB before its last line
     monkeypatch.setattr(cli, "perf_counter_ns", lambda: 0)
     stdout = Stdout()
     assert run_to(stdout, *shlex.split(QCHU_SWEEP)) == (0, "")
     assert "".join(stdout.writes) == qchu_sweep_text()
     assert len(stdout.writes) <= math.ceil(QCHU_SWEEP_BYTES / 8192) + 1
     assert all(len(text) >= 8192 for text in stdout.writes[:-1])
+    assert all(len(text) - len(text.splitlines(keepends=True)[-1]) < 8192
+               for text in stdout.writes)
     assert all(text.endswith("\n") for text in stdout.writes)
 
 

@@ -15,7 +15,7 @@ import rothe_lab
 # the public names by the submodule that defines them
 PUBLIC = {
     "bijections": ("BranchA", "BranchB", "Decomposition", "compose", "decompose",
-                   "factorize_at_least", "theorem1_forward", "theorem1_inverse"),
+                   "theorem1_forward", "theorem1_inverse"),
     "errors": ("CapExceededError", "InvariantViolationError", "NoMatchError",
                "NotInDomainError", "ParameterError", "RotheLabError",
                "UnsupportedArgumentError"),
@@ -26,8 +26,7 @@ PUBLIC = {
                 "check_qchu_m1", "gaussian_binomial", "inv_generating_function",
                 "qweighted_bijection_check"),
     "words": ("MAX_WORD_LENGTH", "Grading", "Word", "b_count", "enumerate_gamma",
-              "enumerate_gamma_prefix", "has_prefix_of_weight", "inversions", "prefix_weights",
-              "weight"),
+              "inversions", "prefix_weights", "weight"),
 }
 
 

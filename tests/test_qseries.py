@@ -140,8 +140,8 @@ def test_lp_json_serialization():
 
 def test_lp_min_max_exponent():
     p = LaurentPolynomial({-3: 1, 4: 7})
-    assert p.min_exponent() == -3 and p.max_exponent() == 4
-    assert LaurentPolynomial().min_exponent() is None
+    assert p.sorted_terms()[0][0] == -3 and p.sorted_terms()[-1][0] == 4
+    assert not LaurentPolynomial()
 
 
 def test_lp_is_immutable():
@@ -157,8 +157,7 @@ def test_lp_is_immutable():
 def test_lp_copies_and_pickles(poly):
     for clone in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
         assert type(clone) is LaurentPolynomial
-        assert (clone.min_exponent(), clone.sorted_terms()) == (poly.min_exponent(),
-                                                               poly.sorted_terms())
+        assert clone.sorted_terms() == poly.sorted_terms()
     report = check_qchu(4, 2, 1, 2)
     clone = pickle.loads(pickle.dumps(report))
     assert clone == report and clone.passed and str(clone.lhs) == str(report.lhs)
@@ -179,7 +178,8 @@ def test_lp_keeps_its_height():
     assert not all(qseries._height_of(p)[1] for p in polys)
     for poly in polys:
         before = hash(poly)
-        coeffs = [poly.coefficient(e) for e in range(poly.min_exponent(), poly.max_exponent() + 1)]
+        terms = poly.sorted_terms()
+        coeffs = [poly.coefficient(e) for e in range(terms[0][0], terms[-1][0] + 1)]
         height = qseries._height_of(poly)
         assert height == (max(map(abs, coeffs)), min(coeffs) < 0), repr(poly)
         # kept: the second call returns it, and neither equality, hashing nor
@@ -283,7 +283,7 @@ def test_gaussian_binomial_large_a_at_q1():
     gaussian_binomial.cache_clear()
     p = gaussian_binomial(2000, 3)
     assert p.value_at_one() == math.comb(2000, 3)
-    assert p.max_exponent() == 3 * 1997
+    assert p.sorted_terms()[-1][0] == 3 * 1997
 
 
 def test_check_qchu_tall_x_regression():
@@ -309,7 +309,7 @@ def test_gaussian_binomial_symmetry_and_palindrome():
             assert all(c > 0 for c in coeffs)
             assert coeffs == coeffs[::-1]
             if k:
-                assert p.max_exponent() == k * (a - k)
+                assert p.sorted_terms()[-1][0] == k * (a - k)
 
 
 @pytest.mark.parametrize("argv", [
@@ -466,7 +466,7 @@ def test_qchu_lhs_is_plain_polynomial():
             for x in range(m * n, m * n + 3):
                 for y in range(1, 4):
                     lhs = check_qchu(x, y, m, n).lhs
-                    assert not lhs or lhs.min_exponent() >= 0
+                    assert not lhs or lhs.sorted_terms()[0][0] >= 0
 
 
 def test_qweighted_bijection_check_examples():
@@ -584,8 +584,6 @@ def assert_matches(poly: LaurentPolynomial, ref: dict) -> None:
     assert poly.terms() == ref
     assert poly.sorted_terms() == sorted(ref.items())
     assert bool(poly) == bool(ref)
-    assert poly.min_exponent() == (min(ref) if ref else None)
-    assert poly.max_exponent() == (max(ref) if ref else None)
     assert poly.value_at_one() == sum(ref.values())
     assert poly == LaurentPolynomial(ref)
     assert hash(poly) == hash(LaurentPolynomial(ref))
@@ -631,8 +629,9 @@ def dense_form(p: LaurentPolynomial) -> tuple[int, list[int]]:
     the public interface."""
     if not p:
         return 0, []
-    low = p.min_exponent()
-    return low, [p.coefficient(e) for e in range(low, p.max_exponent() + 1)]
+    terms = p.sorted_terms()
+    low = terms[0][0]
+    return low, [p.coefficient(e) for e in range(low, terms[-1][0] + 1)]
 
 
 def reference_mul(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
@@ -715,7 +714,7 @@ def test_sum_of_products_cancels_to_canonical_zero():
     assert qseries._sum_of_products([]) == 0
     assert qseries._sum_of_products([(5, p, LaurentPolynomial())]) == 0
     total = qseries._sum_of_products([(2, p, r), (1, -p, r.shift(1))])
-    assert not total and total.min_exponent() is None
+    assert not total
 
 
 @pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 72, 73, 129])
@@ -765,7 +764,7 @@ def near_misses(packed) -> list:
     for e in (lowest - 1, lowest, lowest + count // 2, lowest + count - 1, lowest + count):
         out += [total + LaurentPolynomial({e: 1}), total - LaurentPolynomial({e: 1})]
     if total:
-        e = total.min_exponent()
+        e = total.sorted_terms()[0][0]
         # one slot's worth carried up one slot: the same packed integer
         out.append(total + LaurentPolynomial({e: 1 << (8 * size), e + 1: -1}))
         c = total.coefficient(e)

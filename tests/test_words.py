@@ -8,8 +8,6 @@ from rothe_lab import (
     Grading,
     b_count,
     enumerate_gamma,
-    enumerate_gamma_prefix,
-    has_prefix_of_weight,
     inversions,
     prefix_weights,
     weight,
@@ -122,17 +120,21 @@ def test_enumerate_gamma_length_cap(monkeypatch):
 
 def test_has_prefix_of_weight_examples():
     g = Grading(1)
-    assert has_prefix_of_weight("ab", 1, g)
-    assert not has_prefix_of_weight("ba", 1, g)
+    assert words.prefix_length_of_weight("ab", 1, g) is not None
+    assert words.prefix_length_of_weight("ba", 1, g) is None
     for w in ("", "a", "bba"):
-        assert has_prefix_of_weight(w, 0, Grading(2))
+        assert words.prefix_length_of_weight(w, 0, Grading(2)) is not None
 
 
 def test_enumerate_gamma_prefix_examples():
+    def prefixed(p, k, r, g):
+        return [w for w in enumerate_gamma(p, k, g)
+                if words.prefix_length_of_weight(w, r, g) is not None]
+
     g = Grading(1)
-    assert enumerate_gamma_prefix(3, 1, 1, g) == ["ab"]
-    assert enumerate_gamma_prefix(3, 1, 2, g) == ["ba"]
-    assert set(enumerate_gamma_prefix(5, 2, 2, g)) == {"bab", "bba"}
+    assert prefixed(3, 1, 1, g) == ["ab"]
+    assert prefixed(3, 1, 2, g) == ["ba"]
+    assert set(prefixed(5, 2, 2, g)) == {"bab", "bba"}
 
 
 def test_factorization_count_identity():
