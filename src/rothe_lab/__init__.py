@@ -13,8 +13,8 @@ _EXPORTS = {
         "theorem1_inverse",
     ),
     "errors": (
-        "CapExceededError", "InvariantViolationError", "NoMatchError", "NotInDomainError",
-        "ParameterError", "RotheLabError", "UnsupportedArgumentError",
+        "CapExceededError", "NoMatchError", "NotInDomainError", "ParameterError",
+        "RotheLabError",
     ),
     "identities": (
         "VerificationReport", "check_gould", "check_kmpink", "check_kmx", "check_pqkm",
@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "words": (
         "MAX_WORD_LENGTH", "Grading", "Word", "b_count", "enumerate_gamma", "inversions",
-        "prefix_weights", "weight",
+        "prefix_length_of_weight", "prefix_weights", "weight",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

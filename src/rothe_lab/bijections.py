@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvariantViolationError, NoMatchError, NotInDomainError
+from .errors import NoMatchError, NotInDomainError, ParameterError
 from .identities import _require_shift_domain
 from .words import Grading, Word, _prefix_at_least, b_count
 
@@ -163,16 +163,16 @@ def _check_branch_b(d: BranchB, p: int, q: int, g: Grading) -> None:
     u_b, v_b = b_count(d.u_prime), b_count(d.v)
     n = u_b + 1 + v_b
     if not 1 <= d.j <= m:
-        raise InvariantViolationError(f"j={d.j} outside [1, {m}]")
+        raise ParameterError(f"j={d.j} outside [1, {m}]")
     if not 1 <= d.k <= n:
-        raise InvariantViolationError(f"k={d.k} outside [1, {n}]")
+        raise ParameterError(f"k={d.k} outside [1, {n}]")
     if len(d.u_prime) + m * u_b != p + d.j - m - 1 or u_b != d.k - 1:
-        raise InvariantViolationError(
+        raise ParameterError(
             f"u'={d.u_prime!r} is not in the class of weight {p + d.j - m - 1} "
             f"with {d.k - 1} letters b"
         )
     if len(d.v) + m * v_b != q + m * n - d.j or v_b != n - d.k:
-        raise InvariantViolationError(
+        raise ParameterError(
             f"v={d.v!r} is not in the class of weight {q + m * n - d.j} "
             f"with {n - d.k} letters b"
         )
@@ -183,13 +183,9 @@ def compose(d: Decomposition, p: int, q: int, g: Grading) -> Word:
     if isinstance(d, BranchA):
         b_count(d.w)  # validates every letter, not only those the scan reads
         if len(d.w) != p + q:
-            raise InvariantViolationError(
-                f"word {d.w!r} is not in the class for p={p}, q={q}, m={g.m}"
-            )
+            raise ParameterError(f"word {d.w!r} is not in the class for p={p}, q={q}, m={g.m}")
         if _prefix_at_least(d.w, p, g.m)[1] != p:
-            raise InvariantViolationError(
-                f"word {d.w!r} has no prefix of weight {p}"
-            )
+            raise ParameterError(f"word {d.w!r} has no prefix of weight {p}")
         return d.w
     _check_branch_b(d, p, q, g)
     return d.u_prime + "b" + d.v

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, one meaning each: a bad
+argument (:class:`ParameterError`), a tuple or word outside a domain
+(:class:`NotInDomainError`), work over a cap (:class:`CapExceededError`) and a
+library bug (:class:`NoMatchError`), under the base :class:`RotheLabError`."""
 
 
 class RotheLabError(Exception):
@@ -17,8 +20,11 @@ class NoMatchError(RotheLabError):
 
 
 class ParameterError(RotheLabError, ValueError):
-    """An argument refused by a checker, a bijection, a grading or the command line,
-    such as a negative degree, a non-number, a bad flag or a tuple outside a precondition."""
+    """An argument refused by a checker, a bijection, a grading, a word helper or
+    the command line, such as a negative degree, a non-number, a bad flag, a
+    tuple outside a precondition, a word with a letter other than ``a``/``b``,
+    a decomposition that breaks its branch's invariants or a negative top of a
+    Gaussian binomial."""
 
 
 class NotInDomainError(ParameterError):
@@ -26,12 +32,3 @@ class NotInDomainError(ParameterError):
     ``p >= m*n``, ``q >= 1`` of ``kmx``, q-Chu and both bijections, ``p >= k*m``
     of ``invw`` or ``1 <= j <= m`` of ``kmpink``, or a word outside the class
     a bijection acts on."""
-
-
-class InvariantViolationError(RotheLabError, ValueError):
-    """A decomposition's membership invariants do not hold."""
-
-
-class UnsupportedArgumentError(RotheLabError, ValueError):
-    """An argument outside the supported domain (e.g. a negative upper index
-    for a Gaussian binomial)."""

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 
-from .errors import NotInDomainError, UnsupportedArgumentError
+from .errors import NotInDomainError, ParameterError
 from .identities import VerificationReport, _invw_domain, _require_shift_domain
 from .words import Grading, _comb0, _walk
 
@@ -379,15 +379,13 @@ def gaussian_binomial(a: int, k: int) -> LaurentPolynomial:
     constants, and ``[a, k]`` for ``k > a - k`` is the cached ``[a, a - k]``.
     Otherwise the product formula ``[a, k] = prod_{i=1}^{k} (1 - q^(a-k+i)) /
     (1 - q^i)`` (Andrews, *The Theory of Partitions*, ch. 3) runs on one dense
-    list of coefficients. At ``q = 1`` it is ``C(a, k)``. Negative upper
-    arguments are not supported.
+    list of coefficients. At ``q = 1`` it is ``C(a, k)``. A negative upper
+    argument with ``k >= 0`` is a :class:`ParameterError`.
     """
     if k < 0:
         return _ZERO
     if a < 0:
-        raise UnsupportedArgumentError(
-            f"gaussian_binomial needs a >= 0 (or k < 0), got a={a}, k={k}"
-        )
+        raise ParameterError(f"gaussian_binomial needs a >= 0 (or k < 0), got a={a}, k={k}")
     if k > a:
         return _ZERO
     rest = a - k

@@ -175,6 +175,33 @@ MUTANTS = (
         "the prefix scan stops at the first prefix that reaches its weight, "
         "an exact hit included",
     ),
+    Mutant(
+        "branch-b-j-unchecked", "src/rothe_lab/bijections.py",
+        "    if not 1 <= d.j <= m:\n",
+        "    if not 1 <= d.j:\n",
+        ("tests/test_bijections.py::test_compose_invariant_violations",),
+        "compose refuses a branch-B j above m, which the weights alone can let "
+        "through and which decompose never gives",
+    ),
+    Mutant(
+        "negative-top-accepted", QSERIES,
+        "    if a < 0:\n",
+        "    if a < -1:\n",
+        (f"{TEST_QSERIES}::test_gaussian_binomial_examples",
+         f"{TEST_QSERIES}::test_gaussian_binomial_edges"),
+        "a Gaussian binomial with a negative top and k >= 0 is a ParameterError",
+    ),
+    Mutant(
+        "foreign-letters-accepted", "src/rothe_lab/words.py",
+        "!= len(w)",
+        "> len(w)",
+        ("tests/test_words.py::test_grading_validation",
+         "tests/test_words.py::test_bad_letters_rejected",
+         "tests/test_bijections.py::test_theorem1_maps_match_reference",
+         "tests/test_bijections.py::test_bijections_reject_foreign_letters",
+         "tests/test_bijections.py::test_refusals_keep_their_order"),
+        "a word with a letter other than 'a' or 'b' is a ParameterError",
+    ),
 )
 
 

@@ -246,7 +246,14 @@ def test_criterion_7_qchu_extension():
                         if special.lhs != rep.lhs or not special.passed:
                             failures.append(("m1-mismatch", x, y, n))
                         for k in range(n + 1):
-                            if qchu_m1_term(x, y, n, k) != qchu_term(x, y, 1, n, k):
+                            # the k-th summand in check_qchu_m1's docstring,
+                            # written out from Gaussian binomial products
+                            summand = (
+                                gaussian_binomial(x - k, k) * gaussian_binomial(y + k, n - k)
+                                + (gaussian_binomial(x - k, k - 1)
+                                   * gaussian_binomial(y + k - 1, n - k)).shift(-k)
+                            ).shift(k * (2 * k + y - n))
+                            if not qchu_m1_term(x, y, n, k) == qchu_term(x, y, 1, n, k) == summand:
                                 failures.append(("m1-term", x, y, n, k))
                     wrep = qweighted_bijection_check(x, y, m, n)
                     checks += 1

@@ -10,9 +10,9 @@ from rothe_lab import (
     BranchA,
     BranchB,
     Grading,
-    InvariantViolationError,
     NoMatchError,
     NotInDomainError,
+    ParameterError,
     b_count,
     compose,
     decompose,
@@ -342,7 +342,7 @@ def test_theorem1_maps_match_reference(monkeypatch):
 
     def reference(apply, w, p, q, g):
         if set(w) - {"a", "b"}:
-            return ValueError, f"word {w!r} contains letters other than 'a'/'b'"
+            return ParameterError, f"word {w!r} contains letters other than 'a'/'b'"
         return outcome(apply, w, p, q, g)
 
     for apply in (theorem1_forward, theorem1_inverse):
@@ -418,17 +418,23 @@ def test_compose_examples():
 
 def test_compose_invariant_violations():
     g = Grading(1)
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(ParameterError, match=r"^j=2 outside \[1, 1\]$"):
         compose(BranchB(j=2, k=1, u_prime="", v="a"), 1, 1, g)  # j > m
-    with pytest.raises(InvariantViolationError):
+    # j > m where the weights fit j: unchecked, it composes "ab", which
+    # decompose puts in branch A
+    with pytest.raises(ParameterError, match=r"^j=2 outside \[1, 1\]$"):
+        compose(BranchB(j=2, k=1, u_prime="a", v=""), 1, 1, g)
+    with pytest.raises(ParameterError,
+                       match=r"^u'='a' is not in the class of weight 0 with 0 letters b$"):
         compose(BranchB(j=1, k=1, u_prime="a", v="a"), 1, 1, g)  # wrong u' weight
-    with pytest.raises(InvariantViolationError):
-        compose(BranchA("ba"), 1, 1, g)  # no prefix of weight 1
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(ParameterError, match=r"^word 'ba' has no prefix of weight 1$"):
+        compose(BranchA("ba"), 1, 1, g)
+    with pytest.raises(ParameterError,
+                       match=r"^word 'ab' is not in the class for p=1, q=0, m=1$"):
         compose(BranchA("ab"), 1, 0, g)  # q < 1
-    with pytest.raises(InvariantViolationError, match=r"^k=0 outside \[1, 1\]$"):
+    with pytest.raises(ParameterError, match=r"^k=0 outside \[1, 1\]$"):
         compose(BranchB(j=1, k=0, u_prime="", v="a"), 1, 1, g)  # k < 1
-    with pytest.raises(InvariantViolationError, match=r"^v='aa' is not in the class of weight 1"):
+    with pytest.raises(ParameterError, match=r"^v='aa' is not in the class of weight 1"):
         compose(BranchB(j=1, k=1, u_prime="", v="aa"), 1, 1, g)  # wrong v weight
 
 
@@ -471,17 +477,18 @@ def test_bijections_preserve_weight_and_bcount():
 
 def test_bijections_reject_foreign_letters():
     g = Grading(1)
-    with pytest.raises(ValueError):
+    foreign = r"^word '[abc]+' contains letters other than 'a'/'b'$"
+    with pytest.raises(ParameterError, match=foreign):
         theorem1_forward("abc", 1, 1, g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match=foreign):
         theorem1_inverse("bca", 1, 1, g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match=foreign):
         decompose("bc", 1, 1, g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match=foreign):
         compose(BranchA("ac"), 1, 1, g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match=foreign):
         compose(BranchB(j=1, k=1, u_prime="", v="c"), 1, 1, g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match=foreign):
         compose(BranchB(j=1, k=1, u_prime="c", v="a"), 1, 1, g)
 
 
@@ -516,10 +523,11 @@ def refusals(apply, w, p, q, m):
     shift domain, the length, then (shift maps only) the prefix. Worked out
     with plain string tests; a word that is no string fails only the first."""
     if not isinstance(w, str):
-        return [("letters", ValueError, f"word {w!r} is not a string")]
+        return [("letters", ParameterError, f"word {w!r} is not a string")]
     found = []
     if set(w) - {"a", "b"}:
-        found.append(("letters", ValueError, f"word {w!r} contains letters other than 'a'/'b'"))
+        found.append(("letters", ParameterError,
+                      f"word {w!r} contains letters other than 'a'/'b'"))
     n, extra = w.count("b"), m * w.count("b")
     if not identities.shift_domain(p, q, m, n):
         found.append(("domain", NotInDomainError,

@@ -374,9 +374,9 @@ def test_whole_class_run_memory_does_not_grow_with_the_class(case):
     assert large - small <= 0.25 * 2**20, (small, large)
 
 
-# a broken map whose image the inverse refuses with a ValueError: a theorem1
-# image that is no string, no word or has no prefix of weight p + 1 = 3, and
-# a decomposition that compose refuses (an InvariantViolationError)
+# a broken map whose image the inverse refuses with a ParameterError: a
+# theorem1 image that is no string, no word or has no prefix of weight
+# p + 1 = 3, and a decomposition that compose refuses
 OUTSIDE_THE_TARGET_CLASS = {
     "non-string": ("theorem1_forward", None, "theorem1 --p 2 --q 1 --m 1 --n 2",
                    ["bab → ε", "bba → ε"], "bab maps to None"),

@@ -16,9 +16,8 @@ import rothe_lab
 PUBLIC = {
     "bijections": ("BranchA", "BranchB", "Decomposition", "compose", "decompose",
                    "theorem1_forward", "theorem1_inverse"),
-    "errors": ("CapExceededError", "InvariantViolationError", "NoMatchError",
-               "NotInDomainError", "ParameterError", "RotheLabError",
-               "UnsupportedArgumentError"),
+    "errors": ("CapExceededError", "NoMatchError", "NotInDomainError", "ParameterError",
+               "RotheLabError"),
     "identities": ("VerificationReport", "check_gould", "check_kmpink", "check_kmx",
                    "check_pqkm", "check_rothe1", "check_rothe2", "gen_binomial", "grid_prove",
                    "rothe_coeff"),
@@ -26,7 +25,7 @@ PUBLIC = {
                 "check_qchu_m1", "gaussian_binomial", "inv_generating_function",
                 "qweighted_bijection_check"),
     "words": ("MAX_WORD_LENGTH", "Grading", "Word", "b_count", "enumerate_gamma",
-              "inversions", "prefix_weights", "weight"),
+              "inversions", "prefix_length_of_weight", "prefix_weights", "weight"),
 }
 
 
@@ -39,6 +38,14 @@ def test_each_public_name_is_its_submodule_object(module):
     home = importlib.import_module(f"rothe_lab.{module}")
     for name in PUBLIC[module]:
         assert getattr(rothe_lab, name) is getattr(home, name), name
+
+
+def test_every_exception_class_is_public():
+    from rothe_lab import errors
+
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    assert classes == set(PUBLIC["errors"])
 
 
 def test_dir_lists_every_public_name():

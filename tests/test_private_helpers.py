@@ -1,8 +1,10 @@
 """No dead code at module level: every private module-level function or class
 of the library is used somewhere in the library besides its own definition,
-and every module-level import is used in its own module."""
+and every module-level import is used in its own module. And one refusal type
+for each meaning: the library raises its own exceptions, not builtin ones."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,30 @@ def unused_imports(sources: dict[str, str]) -> list[str]:
     return unused
 
 
+# the attribute protocol asks for an AttributeError: ``LaurentPolynomial``
+# refuses a write with one, and the package ``__getattr__`` an unknown name
+ALLOWED_BUILTIN_RAISES = {"AttributeError"}
+
+
+def builtin_raises(sources: dict[str, str]) -> list[str]:
+    """``module:line name`` of each ``raise`` in ``sources`` (module name to
+    source text) whose exception is a builtin exception class named outside
+    :data:`ALLOWED_BUILTIN_RAISES`, called or not; a bare ``raise`` re-raises
+    and names nothing."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else None
+            kind = getattr(builtins, name, None) if name else None
+            if (isinstance(kind, type) and issubclass(kind, BaseException)
+                    and name not in ALLOWED_BUILTIN_RAISES):
+                found.append(f"{module}:{node.lineno} {name}")
+    return found
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"words.py", "bijections.py", "cli.py"}
 
@@ -129,3 +155,29 @@ def test_import_scan_catches_each_form(sources):
 ])
 def test_import_scan_passes_used_imports(sources):
     assert unused_imports(sources) == []
+
+
+def test_the_library_raises_no_builtin_exception():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert builtin_raises(sources) == []
+
+
+@pytest.mark.parametrize("sources", [
+    {"a": "def f(w):\n    raise ValueError(f'bad {w!r}')\n"},
+    {"a": "def f():\n    raise TypeError\n"},
+    {"a": "def f():\n    try:\n        pass\n    except KeyError:\n"
+          "        raise LookupError('x') from None\n"},
+    {"a": "class C:\n    def f(self):\n        raise NotImplementedError\n"},
+])
+def test_raise_scan_catches_each_form(sources):
+    assert builtin_raises(sources)
+
+
+@pytest.mark.parametrize("sources", [
+    {"a": "from .errors import ParameterError\n\ndef f():\n    raise ParameterError('x')\n"},
+    {"a": "def f():\n    raise AttributeError('immutable')\n"},
+    {"a": "def f():\n    try:\n        pass\n    except ValueError:\n        raise\n"},
+    {"a": "def f(exc):\n    raise exc\n"},
+])
+def test_raise_scan_passes_library_raises(sources):
+    assert builtin_raises(sources) == []

@@ -18,7 +18,6 @@ from rothe_lab import (
     Grading,
     LaurentPolynomial,
     ParameterError,
-    UnsupportedArgumentError,
     check_cardinality,
     check_invw,
     check_qchu,
@@ -235,7 +234,8 @@ def test_gaussian_binomial_examples():
     assert not gaussian_binomial(3, 5)
     assert not gaussian_binomial(5, -1)
     assert gaussian_binomial(0, 0) == 1
-    with pytest.raises(UnsupportedArgumentError):
+    with pytest.raises(ParameterError,
+                       match=r"^gaussian_binomial needs a >= 0 \(or k < 0\), got a=-1, k=2$"):
         gaussian_binomial(-1, 2)
 
 
@@ -275,7 +275,8 @@ def test_gaussian_binomial_edges():
         assert not gaussian_binomial(a, a + 4)
     assert not gaussian_binomial(-2, -1)
     for k in range(3):
-        with pytest.raises(UnsupportedArgumentError):
+        negative_top = rf"^gaussian_binomial needs a >= 0 \(or k < 0\), got a=-1, k={k}$"
+        with pytest.raises(ParameterError, match=negative_top):
             gaussian_binomial(-1, k)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from rothe_lab import (
     CapExceededError,
     Grading,
+    ParameterError,
     b_count,
     enumerate_gamma,
     inversions,
@@ -28,23 +29,23 @@ def test_grading_validation():
     assert weight("b", Grading(0)) == 1
     assert weight("b", Grading(2)) == 3
     assert weight("a", Grading(2)) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="must be >= 0"):
         Grading(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="contains letters other than"):
         weight("c", Grading(1))
 
 
 def test_bad_letters_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="contains letters other than"):
         weight("abc", Grading(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="contains letters other than"):
         inversions("ba x")
 
 
 @pytest.mark.parametrize("w", [None, ["a", "b"], ("b",), 7])
 def test_b_count_refuses_a_non_string(w):
     # a list of letters has a count method, and would be counted as a word
-    with pytest.raises(ValueError, match="is not a string"):
+    with pytest.raises(ParameterError, match="is not a string"):
         b_count(w)
 
 
